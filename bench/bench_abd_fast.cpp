@@ -4,27 +4,22 @@
 // server's ack window derives from its own channel and a phase waits only
 // for the timely majority; on top, the Mostéfaoui–Raynal fast read skips
 // the write-back round whenever every quorum ack carries the same tag.
-// Claims under test:
-//   * under a heterogeneous replica mix (one slow box, one lossy box) the
-//     per-peer variants strictly dominate the stock global-window client
-//     on steps/op and p99 — the straggler inflates the global estimate,
-//     so when the lossy replica drops an ack the stock client sits out a
-//     straggler-sized window while the per-peer client retries through
-//     the loss at timely-majority speed;
+// Both are the AbdClient's one discipline.  Claims under test:
+//   * under a heterogeneous replica mix (one slow box, one lossy box)
+//     every operation completes linearizably, and the fast read still
+//     rides most reads despite the lossy replica;
 //   * the fast read rides the clean path: > 80% of reads skip the
 //     write-back in the clean cell, halving read phases;
 //   * the timeliness graph classifies the slow box as the one straggler
 //     and keeps the timely majority timely;
 //   * none of it costs safety: linearizability holds and violations are
-//     exactly zero in every cell — tfr_mcheck's abd-fast scenario proves
-//     the skip-write-back read exhaustively, and this experiment pins the
+//     exactly zero in every cell — the mcheck ABD scenario explores the
+//     skip-write-back read exhaustively, and this experiment pins the
 //     exploration counters;
-//   * the Shard seam serves the same heterogeneous mix with the fast
-//     variant at no p99 cost relative to stock (service latency is
-//     batch-dominated; the win is the client-level round count).
+//   * the Shard seam serves the same heterogeneous mix with reads taking
+//     the one-round path under batching/session load.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -45,8 +40,8 @@ namespace {
 
 constexpr sim::Duration kStep = 50;  // per-channel access cost bound
 
-/// The E21 adaptive retry discipline: first window = 2.0 x the estimate
-/// (global for stock, per-peer for the graph variants), small backoff.
+/// The E21 adaptive retry discipline: first window = 2.0 x the per-peer
+/// estimate, small backoff.
 msg::RetryPolicy adaptive_policy() {
   msg::RetryPolicy policy;
   policy.timeout = 40 * kStep;
@@ -112,8 +107,8 @@ void fault_endpoint(msg::NetAdversary& adversary, int endpoint, int total,
 // ---------------------------------------------------------- client cell --
 
 struct ClientRun {
-  bool all_done = false;
-  bool linearizable = false;
+  bool all_done = true;
+  bool linearizable = true;
   std::uint64_t safety_violations = 0;
   std::uint64_t operations = 0;
   std::uint64_t retries = 0;
@@ -122,6 +117,34 @@ struct ClientRun {
   std::size_t stragglers = 0;   ///< graph classification after the run
   bool slow_is_straggler = false;
   Samples op_latency;           ///< per completed op, ticks
+
+  /// Folds one seed's run into this aggregate.
+  void add(const ClientRun& r) {
+    all_done &= r.all_done;
+    linearizable &= r.linearizable;
+    safety_violations += r.safety_violations;
+    operations += r.operations;
+    retries += r.retries;
+    fast_reads += r.fast_reads;
+    fast_read_misses += r.fast_read_misses;
+    stragglers = std::max(stragglers, r.stragglers);
+    slow_is_straggler |= r.slow_is_straggler;
+    for (double x : r.op_latency.values()) op_latency.add(x);
+  }
+
+  double steps_per_op() const {
+    return op_latency.mean() / static_cast<double>(kStep);
+  }
+  double p99_steps() const {
+    return op_latency.percentile(99) / static_cast<double>(kStep);
+  }
+  double p999_steps() const {
+    return op_latency.percentile(99.9) / static_cast<double>(kStep);
+  }
+  double hit_rate() const {
+    const double total = static_cast<double>(fast_reads + fast_read_misses);
+    return total > 0 ? static_cast<double>(fast_reads) / total : 0.0;
+  }
 };
 
 sim::Process rw_loop(sim::Env env, msg::AbdClient& client, int reg, int ops,
@@ -142,8 +165,7 @@ sim::Process rw_loop(sim::Env env, msg::AbdClient& client, int reg, int ops,
 /// quorums), all clients sharing one estimator so per-server channels
 /// pool observations.  `heterogeneous` arms the slow + lossy boxes on the
 /// two non-clean replicas' server endpoints.
-ClientRun run_client(msg::RegisterVariant variant, bool heterogeneous,
-                     int ops, std::uint64_t seed) {
+ClientRun run_client(bool heterogeneous, int ops, std::uint64_t seed) {
   adapt::TimelinessEstimator estimator(estimator_config());
   sim::Simulation s(sim::make_uniform_timing(1, kStep), {.seed = seed});
   const int n = 3;
@@ -166,7 +188,6 @@ ClientRun run_client(msg::RegisterVariant variant, bool heterogeneous,
         std::make_unique<msg::AbdClient>(net, i, n, adaptive_policy()));
     clients.back()->set_monitor(&monitor);
     clients.back()->set_delta_controller(&estimator);
-    clients.back()->set_variant(variant);
   }
   for (int i = 0; i < 2; ++i) {
     s.spawn([&clients, &out, &finished, i, ops](sim::Env env) {
@@ -196,20 +217,17 @@ ClientRun run_client(msg::RegisterVariant variant, bool heterogeneous,
   return out;
 }
 
-const char* variant_label(msg::RegisterVariant variant) {
-  return msg::register_variant_name(variant);
-}
-
-double hit_rate(const ClientRun& run) {
-  const double total =
-      static_cast<double>(run.fast_reads + run.fast_read_misses);
-  return total > 0 ? static_cast<double>(run.fast_reads) / total : 0.0;
+/// `seeds` runs of one cell, aggregated.
+ClientRun run_cell(bool heterogeneous, int ops, std::uint64_t seeds) {
+  ClientRun agg;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed)
+    agg.add(run_client(heterogeneous, ops, seed));
+  return agg;
 }
 
 // --------------------------------------------------------- service cell --
 
-service::ServiceConfig service_config(msg::RegisterVariant variant,
-                                      adapt::DeltaController* controller) {
+service::ServiceConfig service_config(adapt::DeltaController* controller) {
   service::ServiceConfig config;
   config.shards = 1;
   config.step = kStep;
@@ -224,11 +242,9 @@ service::ServiceConfig service_config(msg::RegisterVariant variant,
   config.shard.poll_every = kStep;
   config.shard.controller = controller;
   config.shard.batch_wait_deltas = 2.0;
-  config.shard.register_variant = variant;
   // The heterogeneous mix as replica boxes behind the Shard seam: the
   // slow and lossy replicas' *server* endpoints only, so the elected
-  // frontend (replica 0) stays clean and the comparison isolates the
-  // register variant.
+  // frontend (replica 0) stays clean.
   config.shard.replica_faults.push_back(
       {.replica = kSlowReplica, .faults = slow_faults()});
   config.shard.replica_faults.push_back(
@@ -256,7 +272,7 @@ mcheck::ExploreConfig mcheck_config() {
 
 }  // namespace
 
-TFR_BENCH_EXPERIMENT(E22, "timeliness graphs + fast quorums (ABD variants)",
+TFR_BENCH_EXPERIMENT(E22, "timeliness graphs + fast quorums (ABD)",
                      bench::Tier::kSmoke,
                      "per-peer ack windows from timeliness graphs and the "
                      "Mostefaoui-Raynal fast read: stragglers stop sizing "
@@ -264,222 +280,92 @@ TFR_BENCH_EXPERIMENT(E22, "timeliness graphs + fast quorums (ABD variants)",
                      "exhaustively checked") {
   constexpr int kOps = 120;       // write+read pairs per client per run
   constexpr std::uint64_t kSeeds = 3;
-  const msg::RegisterVariant kVariants[3] = {
-      msg::RegisterVariant::kStock, msg::RegisterVariant::kPerPeer,
-      msg::RegisterVariant::kPerPeerFastRead};
 
-  // (a) heterogeneous mix: one slow box, one lossy box, three variants.
-  Table het("ABD client, n=3, slow replica (+[40,60] steps each way) + "
-            "lossy replica (30% drop): register variants");
-  het.header({"variant", "completed", "linearizable", "steps/op (mean)",
-              "p99 /step", "p999 /step", "retries/op", "fast-read hit"});
-  ClientRun het_runs[3];
-  std::uint64_t violations_het = 0;
-  for (int v = 0; v < 3; ++v) {
-    ClientRun& agg = het_runs[v];
-    agg.all_done = agg.linearizable = true;
-    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      ClientRun r = run_client(kVariants[v], /*heterogeneous=*/true, kOps,
-                               seed);
-      agg.all_done &= r.all_done;
-      agg.linearizable &= r.linearizable;
-      agg.safety_violations += r.safety_violations;
-      agg.operations += r.operations;
-      agg.retries += r.retries;
-      agg.fast_reads += r.fast_reads;
-      agg.fast_read_misses += r.fast_read_misses;
-      agg.stragglers = std::max(agg.stragglers, r.stragglers);
-      agg.slow_is_straggler |= r.slow_is_straggler;
-      for (double x : r.op_latency.values()) agg.op_latency.add(x);
-    }
-    violations_het += agg.safety_violations;
-    het.row({variant_label(kVariants[v]), agg.all_done ? "yes" : "NO",
-             agg.linearizable ? "yes" : "NO",
-             Table::fmt(agg.op_latency.mean() / static_cast<double>(kStep), 1),
-             Table::fmt(agg.op_latency.percentile(99) /
-                            static_cast<double>(kStep), 1),
-             Table::fmt(agg.op_latency.percentile(99.9) /
-                            static_cast<double>(kStep), 1),
-             Table::fmt(static_cast<double>(agg.retries) /
-                            static_cast<double>(agg.operations), 2),
-             kVariants[v] == msg::RegisterVariant::kPerPeerFastRead
-                 ? Table::fmt(hit_rate(agg), 2)
-                 : "-"});
-  }
-  het.print(rec.out());
-  const auto steps_per_op = [](const ClientRun& run) {
-    return run.op_latency.mean() / static_cast<double>(kStep);
+  // (a) heterogeneous mix: one slow box, one lossy box; (b) clean network:
+  // the fast read's common path.
+  const ClientRun het = run_cell(/*heterogeneous=*/true, kOps, kSeeds);
+  const ClientRun clean = run_cell(/*heterogeneous=*/false, kOps, kSeeds);
+  Table cells("ABD client, n=3, 2 clients x 120 write+read pairs x 3 seeds");
+  cells.header({"network", "completed", "linearizable", "steps/op (mean)",
+                "p99 /step", "p999 /step", "retries/op", "fast-read hit"});
+  const auto row = [&cells](const char* name, const ClientRun& r) {
+    cells.row({name, r.all_done ? "yes" : "NO", r.linearizable ? "yes" : "NO",
+               Table::fmt(r.steps_per_op(), 1), Table::fmt(r.p99_steps(), 1),
+               Table::fmt(r.p999_steps(), 1),
+               Table::fmt(static_cast<double>(r.retries) /
+                              static_cast<double>(r.operations), 2),
+               Table::fmt(r.hit_rate(), 2)});
   };
-  const auto p99_steps = [](const ClientRun& run) {
-    return run.op_latency.percentile(99) / static_cast<double>(kStep);
-  };
-  const auto p999_steps = [](const ClientRun& run) {
-    return run.op_latency.percentile(99.9) / static_cast<double>(kStep);
-  };
-  rec.metric("het.stock.steps_per_op", steps_per_op(het_runs[0]));
-  rec.metric("het.stock.p99_steps", p99_steps(het_runs[0]));
-  rec.metric("het.stock.p999_steps", p999_steps(het_runs[0]));
-  rec.metric("het.per_peer.steps_per_op", steps_per_op(het_runs[1]));
-  rec.metric("het.per_peer.p99_steps", p99_steps(het_runs[1]));
-  rec.metric("het.fast.steps_per_op", steps_per_op(het_runs[2]));
-  rec.metric("het.fast.p99_steps", p99_steps(het_runs[2]));
-  rec.metric("het.fast.p999_steps", p999_steps(het_runs[2]));
-  rec.metric("het.fast.hit_rate", hit_rate(het_runs[2]));
-  rec.expect(het_runs[0].all_done && het_runs[1].all_done &&
-                 het_runs[2].all_done && het_runs[0].linearizable &&
-                 het_runs[1].linearizable && het_runs[2].linearizable,
-             "every variant completes linearizably under the "
-             "heterogeneous mix");
-  rec.expect(steps_per_op(het_runs[2]) < steps_per_op(het_runs[0]) &&
-                 p99_steps(het_runs[2]) < p99_steps(het_runs[0]),
-             "per-peer + fast read strictly dominates stock on steps/op "
-             "and p99 under the heterogeneous mix");
-  rec.expect(steps_per_op(het_runs[1]) < steps_per_op(het_runs[0]),
-             "per-peer windows alone already beat the global window (the "
-             "straggler stops sizing every phase's wait)");
-  rec.expect(het_runs[2].slow_is_straggler && het_runs[2].stragglers == 1,
+  row("slow (+[40,60] steps) + lossy (30% drop) replicas", het);
+  row("clean", clean);
+  cells.print(rec.out());
+  rec.metric("het.steps_per_op", het.steps_per_op());
+  rec.metric("het.p99_steps", het.p99_steps());
+  rec.metric("het.p999_steps", het.p999_steps());
+  rec.metric("het.hit_rate", het.hit_rate());
+  rec.metric("clean.steps_per_op", clean.steps_per_op());
+  rec.metric("clean.hit_rate", clean.hit_rate());
+  rec.expect(het.all_done && het.linearizable && clean.all_done &&
+                 clean.linearizable,
+             "both cells complete linearizably");
+  rec.expect(het.slow_is_straggler && het.stragglers == 1,
              "the timeliness graph classifies exactly the slow box as a "
              "straggler");
-
-  // (b) clean network: the fast read's common path.
-  Table clean("ABD client, n=3, clean network: fast-read hit rate");
-  clean.header({"variant", "steps/op (mean)", "fast reads", "write-backs",
-                "hit rate"});
-  ClientRun clean_runs[3];
-  std::uint64_t violations_clean = 0;
-  for (int v = 0; v < 3; ++v) {
-    ClientRun& agg = clean_runs[v];
-    agg.all_done = agg.linearizable = true;
-    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      ClientRun r = run_client(kVariants[v], /*heterogeneous=*/false, kOps,
-                               seed);
-      agg.all_done &= r.all_done;
-      agg.linearizable &= r.linearizable;
-      agg.safety_violations += r.safety_violations;
-      agg.operations += r.operations;
-      agg.fast_reads += r.fast_reads;
-      agg.fast_read_misses += r.fast_read_misses;
-      for (double x : r.op_latency.values()) agg.op_latency.add(x);
-    }
-    violations_clean += agg.safety_violations;
-    clean.row({variant_label(kVariants[v]),
-               Table::fmt(agg.op_latency.mean() / static_cast<double>(kStep),
-                          1),
-               Table::fmt(static_cast<unsigned long long>(agg.fast_reads)),
-               Table::fmt(
-                   static_cast<unsigned long long>(agg.fast_read_misses)),
-               kVariants[v] == msg::RegisterVariant::kPerPeerFastRead
-                   ? Table::fmt(hit_rate(agg), 2)
-                   : "-"});
-  }
-  clean.print(rec.out());
-  rec.metric("clean.stock.steps_per_op", steps_per_op(clean_runs[0]));
-  rec.metric("clean.fast.steps_per_op", steps_per_op(clean_runs[2]));
-  rec.metric("clean.fast.hit_rate", hit_rate(clean_runs[2]));
-  rec.expect(clean_runs[0].all_done && clean_runs[2].all_done &&
-                 clean_runs[0].linearizable && clean_runs[2].linearizable,
-             "clean cells complete linearizably");
-  rec.expect(hit_rate(clean_runs[2]) > 0.8,
+  rec.expect(clean.hit_rate() > 0.8,
              "more than 80% of clean-path reads skip the write-back");
-  rec.expect(steps_per_op(clean_runs[2]) < steps_per_op(clean_runs[0]),
-             "the one-round read shows up as fewer steps/op on a clean "
-             "network");
 
-  // (c) the Shard seam: stock vs fast under the same heterogeneous boxes.
-  adapt::TimelinessEstimator svc_stock_est(estimator_config());
-  adapt::TimelinessEstimator svc_fast_est(estimator_config());
-  const service::ServiceReport svc_stock = service::run_service(
-      service_config(msg::RegisterVariant::kStock, &svc_stock_est));
-  const service::ServiceReport svc_fast = service::run_service(
-      service_config(msg::RegisterVariant::kPerPeerFastRead, &svc_fast_est));
-  Table svc("service: 1 shard x 8k sessions, slow + lossy replica boxes, "
-            "register variant behind the Shard seam");
-  svc.header({"variant", "served", "violations", "abd ops", "fast reads",
-              "p99 /step", "p999 /step"});
-  const service::ServiceReport* reports[2] = {&svc_stock, &svc_fast};
-  const char* names[2] = {"stock", "per_peer_fast"};
-  for (int i = 0; i < 2; ++i) {
-    const service::ServiceReport& r = *reports[i];
-    svc.row({names[i], Table::fmt(static_cast<unsigned long long>(r.served)),
-             Table::fmt(static_cast<unsigned long long>(
-                 r.safety_violations + r.readback_mismatches)),
-             Table::fmt(static_cast<unsigned long long>(r.abd_operations)),
-             Table::fmt(static_cast<unsigned long long>(r.abd_fast_reads)),
-             Table::fmt(r.latency.percentile(99) / static_cast<double>(kStep),
-                        1),
-             Table::fmt(
-                 r.latency.percentile(99.9) / static_cast<double>(kStep),
-                 1)});
-  }
-  svc.print(rec.out());
+  // (c) the Shard seam under the same heterogeneous boxes.
+  adapt::TimelinessEstimator svc_est(estimator_config());
+  const service::ServiceReport svc =
+      service::run_service(service_config(&svc_est));
+  Table svc_table("service: 1 shard x 8k sessions, slow + lossy replica "
+                  "boxes behind the Shard seam");
+  svc_table.header({"served", "violations", "abd ops", "fast reads",
+                    "p99 /step", "p999 /step"});
   const std::uint64_t violations_svc =
-      svc_stock.safety_violations + svc_stock.readback_mismatches +
-      svc_fast.safety_violations + svc_fast.readback_mismatches;
-  rec.metric("svc.stock.p99_steps",
-             svc_stock.latency.percentile(99) / static_cast<double>(kStep));
-  rec.metric("svc.stock.p999_steps",
-             svc_stock.latency.percentile(99.9) / static_cast<double>(kStep));
-  rec.metric("svc.fast.p99_steps",
-             svc_fast.latency.percentile(99) / static_cast<double>(kStep));
-  rec.metric("svc.fast.p999_steps",
-             svc_fast.latency.percentile(99.9) / static_cast<double>(kStep));
-  rec.metric("svc.fast.fast_reads",
-             static_cast<double>(svc_fast.abd_fast_reads));
-  rec.expect(svc_stock.all_elected && svc_stock.complete() &&
-                 svc_fast.all_elected && svc_fast.complete(),
-             "both service rows serve every session through the "
-             "heterogeneous shard");
-  rec.expect(svc_stock.linearizable && svc_fast.linearizable,
-             "shard histories linearize for both register variants");
-  rec.expect(svc_fast.abd_fast_reads > 0 && svc_stock.abd_fast_reads == 0,
-             "the Shard seam actually switches the register variant");
-  rec.expect(svc_fast.latency.percentile(99) <=
-                 1.05 * svc_stock.latency.percentile(99),
-             "the fast variant costs no service p99 (batch-dominated "
-             "latency, fewer quorum rounds underneath)");
+      svc.safety_violations + svc.readback_mismatches;
+  svc_table.row(
+      {Table::fmt(static_cast<unsigned long long>(svc.served)),
+       Table::fmt(static_cast<unsigned long long>(violations_svc)),
+       Table::fmt(static_cast<unsigned long long>(svc.abd_operations)),
+       Table::fmt(static_cast<unsigned long long>(svc.abd_fast_reads)),
+       Table::fmt(svc.latency.percentile(99) / static_cast<double>(kStep), 1),
+       Table::fmt(svc.latency.percentile(99.9) / static_cast<double>(kStep),
+                  1)});
+  svc_table.print(rec.out());
+  rec.metric("svc.p99_steps",
+             svc.latency.percentile(99) / static_cast<double>(kStep));
+  rec.metric("svc.p999_steps",
+             svc.latency.percentile(99.9) / static_cast<double>(kStep));
+  rec.metric("svc.fast_reads", static_cast<double>(svc.abd_fast_reads));
+  rec.expect(svc.all_elected && svc.complete() && svc.linearizable,
+             "the heterogeneous shard serves every session and its history "
+             "linearizes");
+  rec.expect(svc.abd_fast_reads > 0,
+             "shard reads take the one-round path");
 
-  // (d) exhaustive safety: the mcheck scenario per variant, counters
-  // pinned exactly (deterministic DFS, jobs-parity checked in CI).
-  Table mc("mcheck abd scenario (n=3, one server crashed), per variant");
-  mc.header({"variant", "complete", "violation", "executions", "states"});
-  mcheck::CheckResult mc_results[3];
-  for (int v = 0; v < 3; ++v) {
-    mcheck::AbdScenarioConfig scenario;
-    scenario.variant = kVariants[v];
-    mc_results[v] =
-        mcheck::check(mcheck::make_abd_scenario(scenario), mcheck_config());
-    mc.row({variant_label(kVariants[v]),
-            mc_results[v].stats.complete ? "yes" : "NO",
-            mc_results[v].violation ? "YES" : "no",
-            Table::fmt(static_cast<unsigned long long>(
-                mc_results[v].stats.executions)),
-            Table::fmt(static_cast<unsigned long long>(
-                mc_results[v].stats.states))});
-  }
-  mc.print(rec.out());
-  rec.metric("mcheck.stock.executions",
-             static_cast<double>(mc_results[0].stats.executions));
-  rec.metric("mcheck.stock.states",
-             static_cast<double>(mc_results[0].stats.states));
-  rec.metric("mcheck.fast.executions",
-             static_cast<double>(mc_results[2].stats.executions));
-  rec.metric("mcheck.fast.states",
-             static_cast<double>(mc_results[2].stats.states));
-  rec.expect(mc_results[0].stats.complete && mc_results[1].stats.complete &&
-                 mc_results[2].stats.complete && !mc_results[0].violation &&
-                 !mc_results[1].violation && !mc_results[2].violation,
-             "every variant's schedule space is exhausted with no "
-             "linearizability violation");
-  rec.expect(mc_results[2].stats.executions < mc_results[0].stats.executions,
-             "the one-round read shrinks the fast variant's schedule "
-             "space below stock's");
+  // (d) exhaustive safety: the mcheck ABD scenario, counters pinned
+  // exactly (deterministic DFS, jobs-parity checked in CI).
+  const mcheck::CheckResult mc =
+      mcheck::check(mcheck::make_abd_scenario({}), mcheck_config());
+  Table mc_table("mcheck abd scenario (n=3, one server crashed)");
+  mc_table.header({"complete", "violation", "executions", "states"});
+  mc_table.row({mc.stats.complete ? "yes" : "NO", mc.violation ? "YES" : "no",
+                Table::fmt(static_cast<unsigned long long>(mc.stats.executions)),
+                Table::fmt(static_cast<unsigned long long>(mc.stats.states))});
+  mc_table.print(rec.out());
+  rec.metric("mcheck.executions", static_cast<double>(mc.stats.executions));
+  rec.metric("mcheck.states", static_cast<double>(mc.stats.states));
+  rec.expect(mc.stats.complete && !mc.violation,
+             "the schedule space is exhausted with no linearizability "
+             "violation");
 
   // The number the baseline pins exactly: zero safety violations in every
   // cell of the experiment.
-  rec.metric("violations.total",
-             static_cast<double>(violations_het + violations_clean +
-                                 violations_svc));
-  rec.expect(violations_het + violations_clean + violations_svc == 0,
+  const std::uint64_t violations =
+      het.safety_violations + clean.safety_violations + violations_svc;
+  rec.metric("violations.total", static_cast<double>(violations));
+  rec.expect(violations == 0,
              "no safety violation anywhere: per-peer windows and fast "
              "reads are performance-only");
 }

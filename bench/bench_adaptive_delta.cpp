@@ -219,8 +219,8 @@ msg::RetryPolicy adaptive_policy() {
   return policy;
 }
 
-/// The ABD controller is RTT-driven (the client reports each successful
-/// quorum's round trip as an observation): the window tracks 2x the
+/// The ABD controller is RTT-driven (the client reports each server's
+/// first-window round trip as an observation): the window tracks 2x the
 /// windowed p90 RTT.  A pure AIMD policy would overshoot here — under a
 /// 20% drop rate expiries keep firing at ANY window size, so growing on
 /// every expiry runs the estimate into the ceiling; the estimator's

@@ -225,7 +225,6 @@ class Explorer final : public sim::SchedulerStrategy {
   bool aborted() const { return blocked_ || frontier_hit_; }
 
   bool dpor() const { return config_.reduction == Reduction::kSourceDpor; }
-  bool sleepy() const { return config_.reduction != Reduction::kNone; }
 
   void init_simulation() {
     // Gate-state hashing is only performed by the owner of the gate nodes
@@ -518,9 +517,9 @@ std::size_t Explorer::decide_sched(
   Node& node = fresh_node();
   node.kind = Node::Kind::kSched;
   node.options = options;
-  if (sleepy()) node.sleep = live_sleep_;
+  if (dpor()) node.sleep = live_sleep_;
   std::size_t chosen = 0;
-  if (sleepy()) {
+  if (dpor()) {
     chosen = options.size();
     for (std::size_t i = 0; i < options.size(); ++i) {
       if (!in_sleep(node.sleep, options[i].pid)) {
@@ -680,7 +679,7 @@ bool Explorer::advance() {
           else
             ++stats_.source_pruned;
         }
-      } else if (sleepy()) {
+      } else if (dpor()) {
         // The subtree under `chosen` is fully explored; any sibling that
         // commutes with it would reach the same states — put it to sleep.
         node.sleep.push_back(node.options[node.chosen]);

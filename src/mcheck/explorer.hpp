@@ -75,18 +75,16 @@ enum class Reduction : std::uint8_t {
   /// Naive DFS: every sibling of every decision node (pruning baseline).
   kNone = 0,
   /// Sleep sets (Godefroid) keyed on the register-conflict independence
-  /// relation — the PR 2 baseline semantics.
-  kSleepSets = 1,
-  /// Sleep sets plus source-set-style dynamic POR: race-driven backtrack
+  /// relation, plus source-set-style dynamic POR: race-driven backtrack
   /// sets decide which siblings of a scheduling node need exploring at
   /// all, and a frontier state-hash table prunes subtrees whose gate
   /// state (registers + pending events + budgets) was already explored
   /// under a subset sleep set.  Both kick in below a fixed decision depth
   /// (the work-sharing frontier), so parallel runs stay byte-identical to
-  /// serial ones.  Soundness caveat: the gate signature proxies each
-  /// process's control state by its op counters, not its true PC — see
-  /// MODEL.md "Systematic exploration".
-  kSourceDpor = 2,
+  /// serial ones; above it, plain sleep sets prune.  Soundness caveat:
+  /// the gate signature proxies each process's control state by its op
+  /// counters, not its true PC — see MODEL.md "Systematic exploration".
+  kSourceDpor = 1,
 };
 
 struct ExploreConfig {
@@ -110,7 +108,7 @@ struct ExploreConfig {
   /// Abort the whole exploration after this many executions.
   std::uint64_t max_executions = 4'000'000;
   /// Partial-order reduction mode.  kSourceDpor (default) layers dynamic
-  /// backtrack sets and frontier state hashing over kSleepSets; kNone is
+  /// backtrack sets and frontier state hashing over sleep sets; kNone is
   /// the naive-DFS baseline for the pruning regression tests.
   Reduction reduction = Reduction::kSourceDpor;
   /// Seed for the simulation Rng (unused by explored scenarios, but part

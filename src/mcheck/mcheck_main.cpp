@@ -8,10 +8,9 @@
 //   $ tfr_mcheck --fischer --replay fischer.run # re-check a saved run
 //   $ tfr_mcheck --rt               # the real-thread code through the shim
 //
-// Options: --naive (naive DFS, no reduction), --sleep-sets (sleep sets
-// only, no source-set DPOR / state hashing), --seed N,
-// --max-executions N, --jobs N (forked parallel exploration — verdicts,
-// stats and counterexamples are identical to --jobs 1), --prefix-depth N
+// Options: --naive (naive DFS, no reduction), --seed N, --max-executions N,
+// --jobs N (forked parallel exploration — verdicts, stats and
+// counterexamples are identical to --jobs 1), --prefix-depth N
 // (work-sharing frontier depth; 0 = auto).  Exit status 0 iff every
 // executed check matched its expectation (violation found / not found,
 // counterexample replays byte-identically).  Multi-check runs end with a
@@ -86,26 +85,6 @@ NamedCheck abd_check() {
   check.config = base_config();
   // The crash is the fault under exploration; timing stays minimal so the
   // schedule space (many channel registers) remains tractable.
-  check.config.max_failures = 0;
-  check.config.slow_budget = 0;
-  check.config.max_steps = 600;
-  check.expect_violation = false;
-  return check;
-}
-
-NamedCheck abd_fast_check() {
-  NamedCheck check;
-  check.name = "abd-fast-n3-minority-down";
-  check.description =
-      "ABD fast-read register (write-back skipped on uniform tags), n=3, "
-      "one server crashed: reads/writes linearize";
-  mcheck::AbdScenarioConfig scenario;
-  scenario.variant = msg::RegisterVariant::kPerPeerFastRead;
-  check.scenario = mcheck::make_abd_scenario(scenario);
-  check.config = base_config();
-  // Same budget as the stock check: the crash is the fault under
-  // exploration; the fast read must stay linearizable in every schedule,
-  // including the mixed-tag quorums that force the write-back fallback.
   check.config.max_failures = 0;
   check.config.slow_budget = 0;
   check.config.max_steps = 600;
@@ -366,7 +345,7 @@ int usage() {
       "usage: tfr_mcheck [--all] [--consensus] [--fischer] [--tfr-mutex]\n"
       "                  [--mistuned] [--abd] [--rt] [--fischer-rt]\n"
       "                  [--eventcount]\n"
-      "                  [--naive] [--sleep-sets] [--seed N]\n"
+      "                  [--naive] [--seed N]\n"
       "                  [--max-executions N] [--jobs N] [--prefix-depth N]\n"
       "                  [--save FILE] [--replay FILE]\n");
   return 2;
@@ -377,7 +356,6 @@ int usage() {
 int main(int argc, char** argv) {
   std::vector<NamedCheck> selected;
   bool naive = false;
-  bool sleep_sets = false;
   std::uint64_t seed = 1;
   std::uint64_t max_executions = 0;
   int jobs = 1;
@@ -393,7 +371,6 @@ int main(int argc, char** argv) {
       selected.push_back(tfr_mutex_check());
       selected.push_back(mistuned_controller_check());
       selected.push_back(abd_check());
-      selected.push_back(abd_fast_check());
     } else if (arg == "--consensus") {
       selected.push_back(consensus_check());
     } else if (arg == "--fischer") {
@@ -404,7 +381,6 @@ int main(int argc, char** argv) {
       selected.push_back(mistuned_controller_check());
     } else if (arg == "--abd") {
       selected.push_back(abd_check());
-      selected.push_back(abd_fast_check());
     } else if (arg == "--rt") {
       for (NamedCheck& check : rt_checks())
         selected.push_back(std::move(check));
@@ -415,8 +391,6 @@ int main(int argc, char** argv) {
       selected.push_back(eventcount_correct_check());
     } else if (arg == "--naive") {
       naive = true;
-    } else if (arg == "--sleep-sets") {
-      sleep_sets = true;
     } else if (arg == "--seed" && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg == "--max-executions" && i + 1 < argc) {
@@ -440,14 +414,12 @@ int main(int argc, char** argv) {
     selected.push_back(fischer_check());
     selected.push_back(tfr_mutex_check());
     selected.push_back(abd_check());
-    selected.push_back(abd_fast_check());
   }
 
   bool ok = true;
   std::vector<CheckReport> reports;
   for (NamedCheck& check : selected) {
     if (naive) check.config.reduction = mcheck::Reduction::kNone;
-    else if (sleep_sets) check.config.reduction = mcheck::Reduction::kSleepSets;
     check.config.seed = seed;
     if (max_executions > 0) check.config.max_executions = max_executions;
     check.config.jobs = jobs;

@@ -146,10 +146,6 @@ CheckScenario make_abd_scenario(AbdScenarioConfig config) {
       state->clients.push_back(
           std::make_unique<msg::AbdClient>(*state->net, node, n));
       state->clients.back()->set_monitor(&state->monitor);
-      // No controller / no timeout: windows stay the legacy blocking
-      // discipline, so the variant only selects the read round structure
-      // — exactly the safety-relevant difference the explorer must cover.
-      state->clients.back()->set_variant(config.variant);
     }
     simulation.spawn([state, value = config.written](sim::Env env) {
       return abd_write_once(env, state, 0, value);

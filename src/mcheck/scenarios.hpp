@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "tfr/mcheck/explorer.hpp"
-#include "tfr/msg/abd.hpp"
 #include "tfr/sim/types.hpp"
 
 namespace tfr::mcheck {
@@ -70,15 +69,12 @@ CheckScenario make_mutex_scenario(MutexScenarioConfig config = {});
 /// every explored interleaving of the completed operations must be
 /// linearizable against the atomic-register spec — is checked on every
 /// execution, truncated or not; executions stop once both clients finish.
+/// Interleavings where the read quorum sees uniform tags take the
+/// one-round fast read; mixed-tag quorums take the write-back round.
 struct AbdScenarioConfig {
   int nodes = 3;
   int crashed_server = 2;  ///< this replica never runs (minority down)
   std::int64_t written = 7;
-  /// Register emulation under test.  kPerPeerFastRead explores the
-  /// skip-write-back read: interleavings where the read quorum sees
-  /// uniform tags take the one-round path, mixed-tag quorums fall back —
-  /// both must linearize in every explored schedule.
-  msg::RegisterVariant variant = msg::RegisterVariant::kStock;
 };
 
 CheckScenario make_abd_scenario(AbdScenarioConfig config = {});

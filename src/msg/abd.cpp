@@ -10,15 +10,6 @@
 
 namespace tfr::msg {
 
-const char* register_variant_name(RegisterVariant variant) {
-  switch (variant) {
-    case RegisterVariant::kStock: return "stock";
-    case RegisterVariant::kPerPeer: return "per_peer";
-    case RegisterVariant::kPerPeerFastRead: return "per_peer_fast";
-  }
-  TFR_UNREACHABLE("unknown register variant");
-}
-
 sim::Duration per_peer_window(const adapt::DeltaController& controller, int n,
                               double per_delta, sim::Duration max_timeout,
                               std::vector<sim::Duration>& scratch) {
@@ -125,7 +116,7 @@ const char* AbdClient::phase_name(std::int32_t ack_type) const {
 }
 
 void AbdClient::note_late_ack(const Message& m, sim::Time now) {
-  if (!per_peer_windows()) return;
+  if (controller_ == nullptr) return;
   const int server = m.from - n_;
   if (server < 0 || server >= n_ || server >= 31) return;
   const std::uint32_t bit = 1u << static_cast<unsigned>(server);
@@ -169,7 +160,6 @@ sim::Task<AbdClient::Quorum> AbdClient::majority(sim::Env env,
   int acks = 0;
   int attempt = 1;
   const int needed = n_ / 2 + 1;
-  const bool per_peer = per_peer_windows();
   const sim::Time phase_start = env.now();
   // acked[i]: server i already contributed to this quorum — a duplicated
   // or re-sent ack must not be counted twice.  Reused client-owned
@@ -196,17 +186,18 @@ sim::Task<AbdClient::Quorum> AbdClient::majority(sim::Env env,
       quorum.max_tag = m.tag;
       quorum.value_of_max = m.value;
     }
-    // Per-peer modes learn each server's own first-window round trip;
-    // the global discipline keeps its one multicast-to-quorum sample at
-    // quorum time below.
-    if (per_peer && attempt == 1)
+    // Each server's first-window round trip teaches its own channel.
+    // Retried phases are NOT observed: their "RTT" includes the expired
+    // windows and backoff pauses themselves, so feeding them back would
+    // let the window estimate ratchet itself upward.
+    if (controller_ != nullptr && attempt == 1)
       controller_->observe(server, env.now() - phase_start);
   };
 
   // Remembers this phase in the late-ack ring so a straggler answering
   // after the quorum closed still teaches its channel (note_late_ack).
   auto remember = [&] {
-    if (!per_peer || n_ > 31) return;
+    if (controller_ == nullptr || n_ > 31) return;
     std::uint32_t observed = 0;
     for (int s = 0; s < n_; ++s) {
       if (acked[static_cast<std::size_t>(s)] != 0)
@@ -216,47 +207,26 @@ sim::Task<AbdClient::Quorum> AbdClient::majority(sim::Env env,
     recent_next_ = (recent_next_ + 1) % kRecentPhases;
   };
 
-  // Adaptive window: derive the first ack-collection window from the
-  // attached controller's current Δ estimate — globally (stock) or from
-  // the per-server channel estimates (per-peer variants); otherwise the
-  // static policy value.  Either way the per-retry growth/caps below
+  // The first ack-collection window: from the attached controller's
+  // per-server estimates, otherwise the static policy value (0 = the
+  // window never expires).  Either way the per-retry growth/caps below
   // still apply.
   sim::Duration window = policy_.timeout;
   if (controller_ != nullptr && policy_.timeout_per_delta > 0) {
-    if (per_peer) {
-      window = per_peer_window(*controller_, n_, policy_.timeout_per_delta,
-                               policy_.max_timeout, window_scratch_);
-    } else {
-      window = std::max<sim::Duration>(
-          1, static_cast<sim::Duration>(
-                 std::ceil(static_cast<double>(controller_->current()) *
-                           policy_.timeout_per_delta)));
-      // max_timeout stays the hard cap no matter what the estimate says.
-      if (policy_.max_timeout > 0 && window > policy_.max_timeout)
-        window = policy_.max_timeout;
-    }
+    window = per_peer_window(*controller_, n_, policy_.timeout_per_delta,
+                             policy_.max_timeout, window_scratch_);
   }
 
   const bool tracing = env.sim().trace_sink() != nullptr;
-  if (per_peer && tracing) emit_estimates(env);
+  if (tracing) emit_estimates(env);
   co_await net_->multicast(env, node_, n_, 2 * n_, request);
-
-  if (window == 0) {
-    // Legacy discipline: the network is reliable, block until a majority
-    // answers.  Byte-identical to the pre-hardening client.
-    while (acks < needed) absorb(co_await net_->recv(env, node_));
-    if (controller_ != nullptr) {
-      controller_->observe(node_, env.now() - phase_start);
-      controller_->on_clean();
-    }
-    co_return quorum;
-  }
 
   sim::Duration pause = policy_.backoff;
   const std::uint32_t label =
       tracing ? env.sim().trace_label(phase_name(ack_type)) : 0;
   for (;;) {
-    const sim::Time deadline = env.now() + window;
+    const sim::Time deadline =
+        window > 0 ? env.now() + window : sim::kTimeNever;
     while (acks < needed) {
       auto m = co_await net_->recv_until(env, node_, deadline,
                                          policy_.poll_every);
@@ -264,16 +234,8 @@ sim::Task<AbdClient::Quorum> AbdClient::majority(sim::Env env,
       absorb(*m);
     }
     if (acks >= needed) {
-      if (controller_ != nullptr && attempt == 1) {
-        // Multicast-to-quorum RTT on this client's channel; a quorum
-        // inside the first window is a clean (timely) phase.  Retried
-        // phases are NOT observed: their "RTT" includes the expired
-        // windows and backoff pauses themselves, so feeding them back
-        // would let the window estimate ratchet itself upward.  (Per-peer
-        // modes observed each server in absorb instead.)
-        if (!per_peer) controller_->observe(node_, env.now() - phase_start);
-        controller_->on_clean();
-      }
+      // A quorum inside the first window is a clean (timely) phase.
+      if (controller_ != nullptr && attempt == 1) controller_->on_clean();
       remember();
       co_return quorum;
     }
@@ -340,26 +302,21 @@ sim::Task<std::int64_t> AbdClient::read(sim::Env env, int reg) {
   // same tag, so that tag is already stored at a majority (server tags
   // are monotone) and any later quorum intersects it — the write-back
   // round adds nothing and is skipped.  One disagreeing ack (a
-  // concurrent write landed at part of the quorum) and the two-round
-  // discipline below stays the linearizability-preserving default.
-  const bool fast =
-      variant_ == RegisterVariant::kPerPeerFastRead && seen.tags_uniform;
-  if (variant_ == RegisterVariant::kPerPeerFastRead) {
-    if (fast) {
-      ++fast_reads_;
-    } else {
-      ++fast_read_misses_;
-    }
-    if (env.sim().trace_sink() != nullptr) {
-      if (fast_label_ == 0)
-        fast_label_ = env.sim().trace_label("abd.fast_reads");
-      env.sim().emit({env.now(), env.pid(), obs::EventKind::kCounter,
-                      static_cast<std::int64_t>(fast_reads_),
-                      static_cast<std::int64_t>(fast_read_misses_),
-                      fast_label_});
-    }
+  // concurrent write landed at part of the quorum) and the read takes
+  // the write-back round below.
+  if (seen.tags_uniform) {
+    ++fast_reads_;
+  } else {
+    ++fast_read_misses_;
   }
-  if (!fast) {
+  if (env.sim().trace_sink() != nullptr) {
+    if (fast_label_ == 0) fast_label_ = env.sim().trace_label("abd.fast_reads");
+    env.sim().emit({env.now(), env.pid(), obs::EventKind::kCounter,
+                    static_cast<std::int64_t>(fast_reads_),
+                    static_cast<std::int64_t>(fast_read_misses_),
+                    fast_label_});
+  }
+  if (!seen.tags_uniform) {
     // Phase 2 (write-back): install the adopted pair at a majority so
     // every later read sees at least this tag — atomicity, not just
     // regularity.

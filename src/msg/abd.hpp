@@ -7,10 +7,13 @@
 // a majority for the highest tag, then stores a higher one at a majority;
 // a read collects a majority of (tag, value) pairs, adopts the maximum,
 // and writes it back to a majority before returning (the write-back is
-// what makes reads atomic rather than merely regular).  Any two
-// majorities intersect, so a completed operation is visible to every
-// later one — with NO timing assumption; late messages (timing failures
-// on channel registers) delay operations but never unorder them.
+// what makes reads atomic rather than merely regular) — unless every ack
+// of the quorum carried the same tag, in which case that tag is already
+// stored at a majority and the read returns after one round (the
+// Mostéfaoui–Raynal fast read).  Any two majorities intersect, so a
+// completed operation is visible to every later one — with NO timing
+// assumption; late messages (timing failures on channel registers) delay
+// operations but never unorder them.
 //
 // Under a NetAdversary requests and acks can also be lost or duplicated,
 // so the client is hardened: each majority phase collects acks inside a
@@ -19,8 +22,10 @@
 // servers are idempotent, so re-asking is always safe — after an
 // exponentially growing backoff pause with deterministic jitter (a pure
 // function of node, rid and attempt, keeping adversarial runs
-// replayable).  The default RetryPolicy{} has timeout 0 = the legacy
-// block-forever behaviour, byte-identical on reliable networks.
+// replayable).  With a DeltaController attached the first window derives
+// from per-server channel estimates (per_peer_window); the default
+// RetryPolicy{} has timeout 0 = a window that never expires, which suits
+// reliable networks.
 //
 // Each node contributes two endpoints to the Network:
 //   client(i) = i        — runs the node's algorithm and issues ops;
@@ -54,31 +59,8 @@ enum AbdMessageType : std::int32_t {
   kReadAck = 6,  ///< <- server: my (tag, value)
 };
 
-/// Which register emulation an AbdClient runs.  All three are
-/// linearizable under arbitrary timing behaviour — the variants differ
-/// only in how long they wait and how many rounds a read takes, never in
-/// what they guarantee (tfr_mcheck --abd verifies both read disciplines
-/// exhaustively).
-enum class RegisterVariant : std::int32_t {
-  /// Global ack windows (controller->current()), two-round reads.
-  kStock = 0,
-  /// Per-peer ack windows: each server's window derives from its own
-  /// channel estimate (controller->estimate_for(server)); the phase's
-  /// first window is the majority-th smallest, so a straggler never
-  /// stretches the wait for a quorum the timely majority can fill.
-  kPerPeer = 1,
-  /// Per-peer windows + the Mostéfaoui–Raynal fast read: when every ack
-  /// of the read quorum carries the same tag, that tag is already stored
-  /// at a majority and the write-back round is skipped — a one-round
-  /// read on the common path.  Tags disagree -> the stock two-round read.
-  kPerPeerFastRead = 2,
-};
-
-const char* register_variant_name(RegisterVariant variant);
-
 /// Retry/backoff discipline for one majority phase.  The zero-initialised
-/// policy (timeout 0) reproduces the legacy behaviour exactly: multicast
-/// once and block until a majority answers.
+/// policy (timeout 0) multicasts once and waits until a majority answers.
 struct RetryPolicy {
   sim::Duration timeout = 0;      ///< ack-collection window; 0 = no retries
   double timeout_growth = 2.0;    ///< window multiplier per retry
@@ -90,8 +72,8 @@ struct RetryPolicy {
   sim::Duration poll_every = 1;   ///< poll period while waiting for acks
 
   /// Adaptive timeouts: with a DeltaController attached to the client and
-  /// this factor > 0, each phase's first ack window is
-  /// ceil(controller->current() * timeout_per_delta) instead of `timeout`
+  /// this factor > 0, each phase's first ack window is per_peer_window()
+  /// over the controller's per-server estimates instead of `timeout`
   /// (per-retry growth and the caps still apply on top).  0 keeps the
   /// static window even when a controller is attached.
   double timeout_per_delta = 0.0;
@@ -110,8 +92,10 @@ sim::Duration grow_saturating(sim::Duration value, double growth,
 /// server s would need w_s = ceil(estimate_for(s) * per_delta), and a
 /// quorum only needs the fastest majority of servers, so the phase waits
 /// the majority-th smallest w_s — stragglers never size the window.
-/// Clamped to [1, max_timeout] (max_timeout 0 = uncapped).  `scratch` is
-/// caller-owned storage so the hot path allocates nothing.
+/// Clamped to [1, max_timeout] (max_timeout 0 = uncapped).  A controller
+/// without per-channel state answers estimate_for() with current(), so
+/// its window is ceil(current() * per_delta).  `scratch` is caller-owned
+/// storage so the hot path allocates nothing.
 sim::Duration per_peer_window(const adapt::DeltaController& controller, int n,
                               double per_delta, sim::Duration max_timeout,
                               std::vector<sim::Duration>& scratch);
@@ -132,7 +116,8 @@ class AbdClient {
   /// Linearizable write of logical register `reg` (two majority phases).
   sim::Task<void> write(sim::Env env, int reg, std::int64_t value);
 
-  /// Linearizable read of logical register `reg` (query + write-back).
+  /// Linearizable read of logical register `reg`: one majority phase,
+  /// plus a write-back phase unless the quorum's tags were uniform.
   sim::Task<std::int64_t> read(sim::Env env, int reg);
 
   /// Attaches a monitor; every subsequent read/write is recorded as an
@@ -140,20 +125,15 @@ class AbdClient {
   void set_monitor(ConvergenceMonitor* monitor) { monitor_ = monitor; }
 
   /// Attaches an adaptive optimistic(Δ) controller: ack windows derive
-  /// from controller->current() (see RetryPolicy::timeout_per_delta),
+  /// from its per-server estimates (see RetryPolicy::timeout_per_delta),
   /// every window expiry reports on_failure(), a quorum inside the first
-  /// window reports on_clean(), and each phase's multicast-to-quorum RTT
-  /// is fed to observe() on this client's node channel.  Advisory only —
-  /// ABD linearizability needs no timing assumption at all, so a mistuned
-  /// estimate costs retries, never atomicity.
+  /// window reports on_clean(), and each server's first-window round trip
+  /// — late acks included — is fed to observe() on that server's channel.
+  /// Advisory only — ABD linearizability needs no timing assumption at
+  /// all, so a mistuned estimate costs retries, never atomicity.
   void set_delta_controller(adapt::DeltaController* controller) {
     controller_ = controller;
   }
-
-  /// Selects the register emulation (default kStock).  Safe to switch
-  /// between operations; switching mid-operation is not supported.
-  void set_variant(RegisterVariant variant) { variant_ = variant; }
-  RegisterVariant variant() const { return variant_; }
 
   const RetryPolicy& policy() const { return policy_; }
 
@@ -162,13 +142,12 @@ class AbdClient {
   std::uint64_t timeouts() const { return timeouts_; }
   std::uint64_t duplicate_acks() const { return duplicate_acks_; }
   std::uint64_t stale_acks() const { return stale_acks_; }
-  /// Reads that skipped the write-back round (kPerPeerFastRead only).
+  /// Reads that skipped the write-back round.
   std::uint64_t fast_reads() const { return fast_reads_; }
-  /// Fast-variant reads that saw disagreeing tags and fell back to the
-  /// two-round discipline.
+  /// Reads that saw disagreeing tags and fell back to two rounds.
   std::uint64_t fast_read_misses() const { return fast_read_misses_; }
   /// Stale acks matched to a recently completed phase and fed back to the
-  /// controller as late per-peer RTT observations (per-peer modes only).
+  /// controller as late per-peer RTT observations.
   std::uint64_t late_observations() const { return late_observations_; }
 
  private:
@@ -180,7 +159,7 @@ class AbdClient {
 
   /// A recently completed majority phase, kept so a straggler's ack that
   /// arrives after the quorum closed can still teach the controller that
-  /// server's true round-trip time (per-peer modes).
+  /// server's true round-trip time.
   struct RecentPhase {
     std::int64_t rid = 0;
     std::int32_t ack_type = 0;
@@ -206,14 +185,8 @@ class AbdClient {
 
   const char* phase_name(std::int32_t ack_type) const;
 
-  /// True when ack windows derive from per-server channel estimates.
-  bool per_peer_windows() const {
-    return variant_ != RegisterVariant::kStock && controller_ != nullptr &&
-           policy_.timeout_per_delta > 0;
-  }
-
   /// Matches a stale ack against the recent-phase ring and feeds the
-  /// server's late RTT to the controller (per-peer modes only).
+  /// server's late RTT to the controller.
   void note_late_ack(const Message& m, sim::Time now);
 
   /// Emits the per-peer estimate counter tracks (`abd.est.<peer>`) when
@@ -226,7 +199,6 @@ class AbdClient {
   RetryPolicy policy_;
   ConvergenceMonitor* monitor_ = nullptr;
   adapt::DeltaController* controller_ = nullptr;
-  RegisterVariant variant_ = RegisterVariant::kStock;
   std::int64_t next_rid_ = 1;
   std::uint64_t operations_ = 0;
   std::uint64_t retries_ = 0;

@@ -33,8 +33,8 @@ class MsgConsensus {
   /// instances (e.g. the bitwise multi-valued construction) can share one
   /// ABD register space; an instance uses ids [reg_base, reg_base+3R+1)
   /// for R rounds.  `policy` is the retry discipline given to the
-  /// AbdClients that participant() constructs (default: legacy blocking,
-  /// for reliable networks; pass timeouts when a NetAdversary is on).
+  /// AbdClients that participant() constructs (default: no window, for
+  /// reliable networks; pass timeouts when a NetAdversary is on).
   MsgConsensus(Network& net, int n, sim::Duration delta, int reg_base = 0,
                RetryPolicy policy = {});
 

@@ -52,7 +52,7 @@ class MsgElection {
   static constexpr int kIdBits = 10;  ///< up to 1024 node ids
 
   /// `policy` is handed to the AbdClients of participant() and to the
-  /// per-bit MsgConsensus instances (legacy blocking by default).
+  /// per-bit MsgConsensus instances (no window by default).
   MsgElection(Network& net, int n, sim::Duration delta,
               RetryPolicy policy = {});
 

@@ -91,6 +91,13 @@ class Reader {
     return true;
   }
 
+  bool u8(std::uint8_t& v) {
+    if (bytes_.size() - pos_ < 1) return false;
+    v = static_cast<std::uint8_t>(bytes_[pos_]);
+    ++pos_;
+    return true;
+  }
+
   bool u64(std::uint64_t& v) {
     if (bytes_.size() - pos_ < 8) return false;
     v = 0;
@@ -139,7 +146,12 @@ std::string to_chrome_json(const TraceSink& sink) {
     out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":";
     out += std::to_string(pid);
     out += ",\"args\":{\"name\":\"";
-    out += pid < 0 ? "unattributed" : ("p" + std::to_string(pid));
+    if (pid < 0) {
+      out += "unattributed";
+    } else {
+      out += "p";
+      out += std::to_string(pid);
+    }
     out += "\"}}";
   }
 
@@ -250,14 +262,14 @@ bool decode_binary(std::string_view bytes, TraceSink& out) {
   for (std::uint64_t i = 0; i < event_count; ++i) {
     std::uint64_t time = 0, a = 0, b = 0;
     std::uint32_t pid = 0, label = 0;
-    std::string kind_byte;
-    if (!reader.u64(time) || !reader.u32(pid) || !reader.str(kind_byte, 1) ||
+    std::uint8_t kind = 0;
+    if (!reader.u64(time) || !reader.u32(pid) || !reader.u8(kind) ||
         !reader.u64(a) || !reader.u64(b) || !reader.u32(label)) {
       return false;
     }
     out.append(Event{static_cast<std::int64_t>(time),
                      static_cast<std::int32_t>(pid),
-                     static_cast<EventKind>(kind_byte[0]),
+                     static_cast<EventKind>(kind),
                      static_cast<std::int64_t>(a),
                      static_cast<std::int64_t>(b), label});
   }

@@ -24,7 +24,6 @@ Shard::Shard(sim::Simulation& sim, ShardConfig config)
     clients_.back()->set_monitor(&monitor_);
     if (cfg_.controller != nullptr)
       clients_.back()->set_delta_controller(cfg_.controller);
-    clients_.back()->set_variant(cfg_.register_variant);
   }
   // Heterogeneous replicas: the configured faults cover every channel
   // touching the replica's client and server endpoints, both directions —
@@ -38,11 +37,6 @@ Shard::Shard(sim::Simulation& sim, ShardConfig config)
       }
     }
   }
-}
-
-void Shard::set_register_variant(msg::RegisterVariant variant) {
-  cfg_.register_variant = variant;
-  for (const auto& c : clients_) c->set_variant(variant);
 }
 
 void Shard::spawn(ServedFn on_served) {

@@ -62,11 +62,6 @@ struct ShardConfig {
   adapt::DeltaController* controller = nullptr;
   double batch_wait_deltas = 0.0;
 
-  /// Register emulation the shard's AbdClients run (stock, per-peer
-  /// windows, per-peer + fast read) — the seam E20/E22 swap variants
-  /// through.  All variants are linearizable; see msg::RegisterVariant.
-  msg::RegisterVariant register_variant = msg::RegisterVariant::kStock;
-
   /// Heterogeneous replicas: per-replica channel faults applied to every
   /// channel touching the replica's two endpoints (client + server), both
   /// directions — one slow replica, one lossy replica, etc.
@@ -121,11 +116,6 @@ class Shard {
   std::uint64_t abd_operations() const;
   std::uint64_t abd_fast_reads() const;
   std::uint64_t abd_fast_read_misses() const;
-
-  /// Re-points every replica's AbdClient at `variant` (the ShardConfig
-  /// field covers construction; this covers tests and A/B sweeps that
-  /// flip an existing shard between operations).
-  void set_register_variant(msg::RegisterVariant variant);
 
  private:
   sim::Process node_main(sim::Env env, int node);

@@ -696,7 +696,7 @@ TEST(NetAdversaryTest, MsgConsensusCompletesUnderAcceptanceFaultMix) {
   }
 }
 
-// --- Register variants: per-peer windows + the fast read ---------------------
+// --- Per-peer windows + the fast read -----------------------------------------
 
 adapt::TimelinessEstimator::Config variant_estimator_config() {
   return {.initial = 2 * kDelta,
@@ -731,6 +731,15 @@ TEST(AbdVariants, PerPeerWindowIsTheMajorityThSmallest) {
   EXPECT_EQ(per_peer_window(est, 3, 2.0, 20, scratch), 20);  // cap clamps
   // A lone server: its own window, nothing to take a majority over.
   EXPECT_EQ(per_peer_window(est, 1, 1.0, 0, scratch), 10);
+
+  // A controller without per-channel state answers every server with
+  // current(), so the window is ceil(current() * per_delta) clamped to
+  // [1, max_timeout] — the global window, for any n.
+  adapt::ManualDelta manual(7);
+  EXPECT_EQ(per_peer_window(manual, 3, 2.0, 0, scratch), 14);
+  EXPECT_EQ(per_peer_window(manual, 5, 1.5, 0, scratch), 11);   // ceil(10.5)
+  EXPECT_EQ(per_peer_window(manual, 3, 2.0, 12, scratch), 12);  // cap clamps
+  EXPECT_EQ(per_peer_window(manual, 3, 0.01, 0, scratch), 1);   // floor of 1
 }
 
 sim::Process variant_write_then_reads(sim::Env env, AbdClient& client,
@@ -749,7 +758,6 @@ TEST(AbdVariants, FastReadSkipsTheWriteBackOnACleanNetwork) {
   ConvergenceMonitor monitor;
   AbdClient client(net, 0, n);
   client.set_monitor(&monitor);
-  client.set_variant(RegisterVariant::kPerPeerFastRead);
   std::vector<std::int64_t> got;
   int done = 0;
   s.spawn([&client, &got, &done](sim::Env env) {
@@ -762,31 +770,37 @@ TEST(AbdVariants, FastReadSkipsTheWriteBackOnACleanNetwork) {
   s.run(10'000'000, [&] { return done == 1; });
   ASSERT_EQ(done, 1);
   for (std::int64_t v : got) EXPECT_EQ(v, 7);
-  // Every fast-variant read is accounted one way or the other, and the
-  // clean network makes the one-round path the common case.
+  // Every read is accounted one way or the other, and the clean network
+  // makes the one-round path the common case.
   EXPECT_EQ(client.fast_reads() + client.fast_read_misses(), 10u);
   EXPECT_GE(client.fast_reads(), 5u);
   EXPECT_TRUE(monitor.check().linearizable);
 }
 
-TEST(AbdVariants, StockClientNeverCountsFastReads) {
-  sim::Simulation s(make_uniform_timing(1, kDelta), {.seed = 2});
+TEST(AbdVariants, NoWindowRidesOutASlowReliableNetwork) {
+  // timeout 0 is the policy's "no window": on a reliable network whose
+  // accesses take up to 50 steps, the client just waits — a write and its
+  // read complete with no expiry and no retry.
+  sim::Simulation s(make_uniform_timing(1, 50 * kDelta), {.seed = 3});
   const int n = 3;
   Network net(s.space(), 2 * n);
-  AbdClient client(net, 0, n);  // default kStock
+  AbdClient client(net, 0, n);
   std::vector<std::int64_t> got;
   int done = 0;
   s.spawn([&client, &got, &done](sim::Env env) {
-    return variant_write_then_reads(env, client, 5, got, &done);
+    return variant_write_then_reads(env, client, 1, got, &done);
   });
   for (int i = 1; i < n; ++i) {
     s.spawn([](sim::Env env) -> sim::Process { co_await env.delay(1); });
   }
   spawn_servers(s, net, n);
-  s.run(10'000'000, [&] { return done == 1; });
+  s.run(100'000'000, [&] { return done == 1; });
   ASSERT_EQ(done, 1);
-  EXPECT_EQ(client.fast_reads(), 0u);
-  EXPECT_EQ(client.fast_read_misses(), 0u);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], 7);
+  EXPECT_EQ(client.operations(), 2u);
+  EXPECT_EQ(client.timeouts(), 0u);
+  EXPECT_EQ(client.retries(), 0u);
 }
 
 /// Plants a higher-tagged value at ONE replica — the footprint of a
@@ -830,7 +844,6 @@ TEST(AbdVariants, DisagreeingTagsForceTheTwoRoundFallback) {
   const int n = 3;
   Network net(s.space(), 2 * n);
   AbdClient client(net, 0, n);
-  client.set_variant(RegisterVariant::kPerPeerFastRead);
   std::vector<std::int64_t> got;
   bool wrote = false;
   bool planted = false;
@@ -900,7 +913,6 @@ TEST(AbdVariants, LateAcksTeachTheStragglersChannel) {
   policy.timeout_per_delta = 2.0;
   AbdClient client(net, 0, n, policy);
   client.set_delta_controller(&est);
-  client.set_variant(RegisterVariant::kPerPeer);
   int done = 0;
   s.spawn([&client, &done](sim::Env env) {
     return variant_rw_loop(env, client, 20, &done);
@@ -919,66 +931,58 @@ TEST(AbdVariants, LateAcksTeachTheStragglersChannel) {
   EXPECT_GT(est.estimate_for(1), est.estimate_for(0));
 }
 
-TEST(AbdVariants, EveryVariantReplaysByteIdentical) {
-  // Same-seed record/replay determinism, per variant, under the
-  // heterogeneous mix (slow box + lossy box) with a shared estimator —
-  // per-peer windows, late-ack observations and fast reads are all pure
-  // functions of the run.
-  for (const RegisterVariant variant :
-       {RegisterVariant::kStock, RegisterVariant::kPerPeer,
-        RegisterVariant::kPerPeerFastRead}) {
-    const obs::Scenario scenario = [variant](sim::Simulation& s) {
-      const int n = 3;
-      Network net(s.space(), 2 * n);
-      NetAdversary adversary(23);
-      ChannelFaults slow;
-      slow.delay = 1.0;
-      slow.delay_min = 40 * kDelta;
-      slow.delay_max = 60 * kDelta;
-      ChannelFaults lossy;
-      lossy.drop = 0.30;
-      for (int other = 0; other < 2 * n; ++other) {
-        if (other != n + 1) {
-          adversary.set_channel_faults(n + 1, other, slow);
-          adversary.set_channel_faults(other, n + 1, slow);
-        }
-        if (other != n + 2) {
-          adversary.set_channel_faults(n + 2, other, lossy);
-          adversary.set_channel_faults(other, n + 2, lossy);
-        }
+TEST(AbdVariants, HeterogeneousRunReplaysByteIdentical) {
+  // Same-seed record/replay determinism under the heterogeneous mix (slow
+  // box + lossy box) with a shared estimator — per-peer windows, late-ack
+  // observations and fast reads are all pure functions of the run.
+  const obs::Scenario scenario = [](sim::Simulation& s) {
+    const int n = 3;
+    Network net(s.space(), 2 * n);
+    NetAdversary adversary(23);
+    ChannelFaults slow;
+    slow.delay = 1.0;
+    slow.delay_min = 40 * kDelta;
+    slow.delay_max = 60 * kDelta;
+    ChannelFaults lossy;
+    lossy.drop = 0.30;
+    for (int other = 0; other < 2 * n; ++other) {
+      if (other != n + 1) {
+        adversary.set_channel_faults(n + 1, other, slow);
+        adversary.set_channel_faults(other, n + 1, slow);
       }
-      adversary.arm(s);
-      net.set_adversary(&adversary);
-      adapt::TimelinessEstimator est(variant_estimator_config());
-      RetryPolicy policy = test_policy();
-      policy.timeout_per_delta = 2.0;
-      std::vector<std::unique_ptr<AbdClient>> clients;
-      int done = 0;
-      for (int i = 0; i < 2; ++i) {
-        clients.push_back(std::make_unique<AbdClient>(net, i, n, policy));
-        clients.back()->set_delta_controller(&est);
-        clients.back()->set_variant(variant);
-        s.spawn([&clients, &done, i](sim::Env env) {
-          return variant_rw_loop(env,
-                                 *clients[static_cast<std::size_t>(i)], 10,
-                                 &done);
-        });
+      if (other != n + 2) {
+        adversary.set_channel_faults(n + 2, other, lossy);
+        adversary.set_channel_faults(other, n + 2, lossy);
       }
-      s.spawn([](sim::Env env) -> sim::Process { co_await env.delay(1); });
-      spawn_servers(s, net, n);
-      s.run(4'000'000'000, [&done] { return done == 2; });
-    };
-    obs::TimingSpec spec;
-    spec.kind = obs::TimingSpec::Kind::kUniform;
-    spec.lo = 1;
-    spec.hi = kDelta;
-    const obs::RecordedRun run = obs::record(41, spec, scenario);
-    EXPECT_FALSE(run.trace.empty());
-    const obs::ReplayResult replayed = obs::replay(run, scenario);
-    EXPECT_TRUE(replayed.identical)
-        << register_variant_name(variant) << " diverged at event "
-        << replayed.first_divergence;
-  }
+    }
+    adversary.arm(s);
+    net.set_adversary(&adversary);
+    adapt::TimelinessEstimator est(variant_estimator_config());
+    RetryPolicy policy = test_policy();
+    policy.timeout_per_delta = 2.0;
+    std::vector<std::unique_ptr<AbdClient>> clients;
+    int done = 0;
+    for (int i = 0; i < 2; ++i) {
+      clients.push_back(std::make_unique<AbdClient>(net, i, n, policy));
+      clients.back()->set_delta_controller(&est);
+      s.spawn([&clients, &done, i](sim::Env env) {
+        return variant_rw_loop(env, *clients[static_cast<std::size_t>(i)],
+                               10, &done);
+      });
+    }
+    s.spawn([](sim::Env env) -> sim::Process { co_await env.delay(1); });
+    spawn_servers(s, net, n);
+    s.run(4'000'000'000, [&done] { return done == 2; });
+  };
+  obs::TimingSpec spec;
+  spec.kind = obs::TimingSpec::Kind::kUniform;
+  spec.lo = 1;
+  spec.hi = kDelta;
+  const obs::RecordedRun run = obs::record(41, spec, scenario);
+  EXPECT_FALSE(run.trace.empty());
+  const obs::ReplayResult replayed = obs::replay(run, scenario);
+  EXPECT_TRUE(replayed.identical)
+      << "diverged at event " << replayed.first_divergence;
 }
 
 TEST(NetAdversaryTest, FaultEventsLandInTheTrace) {
@@ -1025,7 +1029,9 @@ TEST(NetAdversaryTest, FaultEventsLandInTheTrace) {
   }
   EXPECT_EQ(drops, adversary.drops());
   EXPECT_EQ(partitions, 2u) << "begin + heal markers";
-  if (adversary.drops() > 0) EXPECT_GT(recovery, 0u);
+  if (adversary.drops() > 0) {
+    EXPECT_GT(recovery, 0u);
+  }
 }
 
 }  // namespace

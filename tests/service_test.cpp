@@ -242,21 +242,15 @@ TEST(ServiceScenario, OutageBacksUpThenDrainsWithinBound) {
   EXPECT_LE(report.heal_drain, config.convergence_bound);  // ...in time
 }
 
-TEST(ServiceScenario, RegisterVariantSeamSwitchesTheEmulation) {
-  service::ServiceConfig config = small_config(2'000);
-  const service::ServiceReport stock = service::run_service(config);
-  EXPECT_TRUE(stock.complete());
-  EXPECT_EQ(stock.abd_fast_reads, 0u);  // stock never takes the fast path
-  EXPECT_EQ(stock.abd_fast_read_misses, 0u);
-
-  config.shard.register_variant = msg::RegisterVariant::kPerPeerFastRead;
-  const service::ServiceReport fast = service::run_service(config);
-  EXPECT_TRUE(fast.complete());
-  EXPECT_EQ(fast.served, 2'000u);
-  EXPECT_TRUE(fast.linearizable);
-  EXPECT_EQ(fast.safety_violations, 0u);
-  EXPECT_EQ(fast.readback_mismatches, 0u);
-  EXPECT_GT(fast.abd_fast_reads, 0u);  // the seam switched the emulation
+TEST(ServiceScenario, DefaultShardReadsTakeTheFastPath) {
+  const service::ServiceReport report =
+      service::run_service(small_config(2'000));
+  EXPECT_TRUE(report.complete());
+  EXPECT_EQ(report.served, 2'000u);
+  EXPECT_TRUE(report.linearizable);
+  EXPECT_EQ(report.safety_violations, 0u);
+  EXPECT_EQ(report.readback_mismatches, 0u);
+  EXPECT_GT(report.abd_fast_reads, 0u);
 }
 
 TEST(ServiceScenario, ReplicaFaultsAndPerPeerWindowsBehindTheSeam) {
@@ -276,7 +270,6 @@ TEST(ServiceScenario, ReplicaFaultsAndPerPeerWindowsBehindTheSeam) {
                                         .boost_cap = 2.0});
   config.shard.controller = &estimator;
   config.shard.abd_retry.timeout_per_delta = 2.0;
-  config.shard.register_variant = msg::RegisterVariant::kPerPeerFastRead;
   msg::ChannelFaults slow;
   slow.delay = 1.0;
   slow.delay_min = 2'000;

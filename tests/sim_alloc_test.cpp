@@ -162,7 +162,6 @@ TEST(SimAllocRegression, AbdPhasesReachSteadyStatePerOperation) {
   policy.timeout_per_delta = 2.0;
   msg::AbdClient client(net, 0, n, policy);
   client.set_delta_controller(&estimator);
-  client.set_variant(msg::RegisterVariant::kPerPeerFastRead);
   constexpr int kOps = 16;
   std::vector<std::uint64_t> per_op;
   per_op.reserve(kOps);
