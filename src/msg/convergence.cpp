@@ -47,11 +47,13 @@ ConvergenceMonitor::Report ConvergenceMonitor::check() {
   }
   if (report.unfinished > 0) violation("unfinished-op");
 
+  // One checker for every register's history: its buffers are sized once.
+  spec::LinearizabilityChecker checker;
+  const spec::RegisterModel model;
   for (const auto& [reg, history] : histories_) {
     const std::vector<spec::Operation> ops = history.completed();
     report.operations += ops.size();
-    const spec::RegisterModel model;
-    if (!spec::check_linearizable(ops, model).linearizable) {
+    if (!checker.check(ops, model).linearizable) {
       report.linearizable = false;
       violation("linearizability");
     }

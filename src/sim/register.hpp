@@ -11,12 +11,19 @@
 // is how E9 audits the space lower bound of Theorem 3.1.  RegisterArray<T>
 // realizes the paper's infinite arrays (x[1..∞], y[1..∞]) by growing on
 // demand; allocation is a local action and costs no simulated time.
+//
+// Array cells are kept compact because a message channel grows one per
+// message: a cell owns no name string (it derives "<array>[i]" on
+// demand), its RMR "holds a copy" bits for pids below 64 live in an
+// inline mask, and cells are built in place in fixed 64-cell chunks.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
+#include <memory>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -114,6 +121,9 @@ class RegisterSpace {
   std::vector<std::pair<const void*, ValueHasher>> hashers_;
 };
 
+template <class T>
+class RegisterArray;
+
 /// One atomic shared register holding a T.  T must be cheaply copyable
 /// (ints, small structs) — exactly what the paper's registers hold.
 template <class T>
@@ -121,14 +131,11 @@ class Register {
  public:
   Register(RegisterSpace& space, T initial, std::string name = {})
       : space_(&space), value_(std::move(initial)), name_(std::move(name)) {
-    uid_ = space_->note_allocated();
-    if (space_->value_capture()) {
-      if constexpr (std::has_unique_object_representations_v<T>) {
-        space_->note_hasher(this, &hash_value);
-      } else {
-        space_->mark_unhashable();
-      }
-    }
+    on_allocated();
+  }
+
+  ~Register() {
+    if (array_name_ == nullptr) name_.~basic_string();
   }
 
   Register(const Register&) = delete;
@@ -144,7 +151,11 @@ class Register {
 
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes() const { return writes_; }
-  const std::string& name() const { return name_; }
+  /// The register's name; an array cell's is "<array>[index]".
+  std::string name() const {
+    if (array_name_ == nullptr) return name_;
+    return *array_name_ + "[" + std::to_string(index_) + "]";
+  }
   /// Stable identity: allocation order within the RegisterSpace (1-based).
   /// Identical runs allocate in identical order, so uids — unlike
   /// addresses — survive re-execution (mcheck's conflict key).
@@ -156,17 +167,20 @@ class Register {
   // Used by the local-spinning analysis (E15); costs no simulated time.
   bool note_read_rmr(Pid pid) const {
     const auto index = static_cast<std::size_t>(pid);
-    if (index < cached_.size() && cached_[index]) return false;
-    if (index >= cached_.size()) cached_.resize(index + 1, false);
-    cached_[index] = true;
+    std::uint64_t& word = cached_word(index / 64);
+    const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+    if ((word & bit) != 0) return false;
+    word |= bit;
     return true;
   }
 
   void note_write_rmr(Pid pid) {
-    cached_.assign(cached_.size(), false);
+    cached_ = 0;
+    if (cached_beyond_ != nullptr)
+      std::fill(cached_beyond_->begin(), cached_beyond_->end(), 0);
     const auto index = static_cast<std::size_t>(pid);
-    if (index >= cached_.size()) cached_.resize(index + 1, false);
-    cached_[index] = true;  // the writer retains a valid copy
+    // The writer retains a valid copy.
+    cached_word(index / 64) |= std::uint64_t{1} << (index % 64);
   }
 
   // Internal: the timed accesses, invoked by the simulator's awaiters at
@@ -185,6 +199,39 @@ class Register {
   }
 
  private:
+  friend class RegisterArray<T>;
+
+  /// An array cell, named "<*array_name>[index]" on demand.
+  Register(RegisterSpace& space, const T& initial,
+           const std::string* array_name, std::size_t index)
+      : space_(&space),
+        value_(initial),
+        array_name_(array_name),
+        index_(index) {
+    on_allocated();
+  }
+
+  void on_allocated() {
+    uid_ = space_->note_allocated();
+    if (space_->value_capture()) {
+      if constexpr (std::has_unique_object_representations_v<T>) {
+        space_->note_hasher(this, &hash_value);
+      } else {
+        space_->mark_unhashable();
+      }
+    }
+  }
+
+  /// Word `word` of the per-pid cached-copy bits, grown on demand: pids
+  /// below 64 use the inline word, higher pids spill to the heap.
+  std::uint64_t& cached_word(std::size_t word) const {
+    if (word == 0) return cached_;
+    if (cached_beyond_ == nullptr)
+      cached_beyond_ = std::make_unique<std::vector<std::uint64_t>>();
+    if (word > cached_beyond_->size()) cached_beyond_->resize(word, 0);
+    return (*cached_beyond_)[word - 1];
+  }
+
   /// Value-hash thunk for RegisterSpace::values_fingerprint(): FNV-1a over
   /// the object representation (only instantiated for types with unique
   /// object representations, so padding cannot leak in).
@@ -205,42 +252,79 @@ class Register {
   std::uint64_t uid_ = 0;
   mutable std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
-  std::string name_;
-  /// Per-pid "holds a valid cached copy" bits (RMR accounting).
-  mutable std::vector<bool> cached_;
+  /// Null for a standalone register, which owns `name_`; an array cell
+  /// points at its array's name and keeps its `index_` instead.
+  const std::string* array_name_ = nullptr;
+  union {
+    std::string name_;
+    std::size_t index_;
+  };
+  /// Per-pid "holds a valid cached copy" bits (RMR accounting): bit p of
+  /// `cached_` for pid p < 64, then 64 pids per word of `*cached_beyond_`.
+  mutable std::uint64_t cached_ = 0;
+  mutable std::unique_ptr<std::vector<std::uint64_t>> cached_beyond_;
 };
 
 /// Unbounded register array (the paper's x[1..∞]): grows on first touch of
-/// an index.  Indices are 0-based.  Backed by a deque so grown registers
-/// never move (registers are pinned: awaiters hold pointers to them).
+/// an index.  Indices are 0-based.  Cells are built in place in fixed-size
+/// chunks, so grown registers never move (registers are pinned: awaiters
+/// hold pointers to them) and the array itself is immovable (cells point at
+/// its name).
 template <class T>
 class RegisterArray {
  public:
   RegisterArray(RegisterSpace& space, T initial, std::string name = {})
       : space_(&space), initial_(std::move(initial)), name_(std::move(name)) {}
 
+  RegisterArray(const RegisterArray&) = delete;
+  RegisterArray& operator=(const RegisterArray&) = delete;
+
+  ~RegisterArray() {
+    for (std::size_t i = 0; i < size_; ++i) cell(i).~Register();
+  }
+
   /// Returns the register at `index`, allocating up to it on demand.
   Register<T>& at(std::size_t index) {
-    while (cells_.size() <= index) {
-      cells_.emplace_back(*space_, initial_,
-                          name_ + "[" + std::to_string(cells_.size()) + "]");
+    while (size_ <= index) {
+      if (size_ % kChunkCells == 0)
+        chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
+      ::new (storage(size_)) Register<T>(*space_, initial_, &name_, size_);
+      ++size_;
     }
-    return cells_[index];
+    return cell(index);
   }
 
   /// Read-only access to an index that must already exist.
   const Register<T>& at(std::size_t index) const {
-    TFR_REQUIRE(index < cells_.size());
-    return cells_[index];
+    TFR_REQUIRE(index < size_);
+    return cell(index);
   }
 
-  std::size_t size() const { return cells_.size(); }
+  std::size_t size() const { return size_; }
 
  private:
+  static constexpr std::size_t kChunkCells = 64;
+
+  /// Raw storage for kChunkCells registers, left uninitialised: cells are
+  /// constructed one at a time as the array grows.
+  struct Chunk {
+    alignas(Register<T>) unsigned char bytes[kChunkCells * sizeof(Register<T>)];
+  };
+
+  unsigned char* storage(std::size_t index) const {
+    return chunks_[index / kChunkCells]->bytes +
+           (index % kChunkCells) * sizeof(Register<T>);
+  }
+
+  Register<T>& cell(std::size_t index) const {
+    return *std::launder(reinterpret_cast<Register<T>*>(storage(index)));
+  }
+
   RegisterSpace* space_;
   T initial_;
   std::string name_;
-  std::deque<Register<T>> cells_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace tfr::sim

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
 #include "tfr/common/contracts.hpp"
+#include "tfr/common/rng.hpp"
 #include "tfr/sim/monitor.hpp"
 #include "tfr/sim/register.hpp"
 #include "tfr/sim/simulation.hpp"
@@ -233,8 +236,96 @@ TEST(Registers, ArrayCellsAreStable) {
   RegisterArray<int> arr(space, -1);
   Register<int>* first = &arr.at(0);
   arr.at(1000);
-  EXPECT_EQ(first, &arr.at(0));  // deque storage: no relocation
+  EXPECT_EQ(first, &arr.at(0));  // chunked storage: no relocation
   EXPECT_EQ(arr.at(999).peek(), -1);
+}
+
+TEST(Registers, ArrayCellsAreNamedByIndex) {
+  RegisterSpace space;
+  Register<int> tail(space, 0, "ch.0>1.tail");
+  RegisterArray<int> slots(space, 0, "ch.0>1.slot");
+  EXPECT_EQ(tail.name(), "ch.0>1.tail");
+  EXPECT_EQ(slots.at(123).name(), "ch.0>1.slot[123]");
+  EXPECT_EQ(slots.at(0).name(), "ch.0>1.slot[0]");
+  RegisterArray<int> unnamed(space, 0);
+  EXPECT_EQ(unnamed.at(7).name(), "[7]");
+}
+
+TEST(Registers, ArrayGrowthKeepsAddressesUidsAndValues) {
+  RegisterSpace space;
+  Register<int> before(space, 0);
+  RegisterArray<std::int64_t> arr(space, 7, "arr");
+  // Grow one cell at a time across several chunk boundaries, pinning
+  // every cell's address and marking its value as it is created.
+  std::vector<const Register<std::int64_t>*> cells;
+  for (std::size_t i = 0; i < 5 * 64 + 9; ++i) {
+    Register<std::int64_t>& cell = arr.at(i);
+    cell.poke(static_cast<std::int64_t>(i));
+    cells.push_back(&cell);
+  }
+  arr.at(2000);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ASSERT_EQ(cells[i], &arr.at(i)) << "cell " << i << " moved";
+    EXPECT_EQ(arr.at(i).peek(), static_cast<std::int64_t>(i));
+    // Uids follow allocation order, after the standalone register.
+    EXPECT_EQ(arr.at(i).uid(), before.uid() + 1 + i);
+  }
+  EXPECT_EQ(arr.at(1999).peek(), 7);
+  EXPECT_EQ(arr.size(), 2001u);
+  EXPECT_EQ(space.allocated(), 2002u);
+}
+
+// Cache-coherent RMR accounting, as a per-pid vector of "holds a valid
+// copy" bits: the reference the register's inline mask (pids < 64) and
+// heap spill (pids >= 64) must reproduce exactly.
+struct ReferenceRmr {
+  std::vector<bool> cached;
+  bool read(Pid pid) {
+    const auto index = static_cast<std::size_t>(pid);
+    if (index < cached.size() && cached[index]) return false;
+    if (index >= cached.size()) cached.resize(index + 1, false);
+    cached[index] = true;
+    return true;
+  }
+  void write(Pid pid) {
+    cached.assign(cached.size(), false);
+    const auto index = static_cast<std::size_t>(pid);
+    if (index >= cached.size()) cached.resize(index + 1, false);
+    cached[index] = true;
+  }
+};
+
+TEST(Registers, RmrAccountingForLowAndHighPids) {
+  RegisterSpace space;
+  Register<int> reg(space, 0);
+  // Pid 3 uses the inline mask, pid 70 the heap spill.
+  EXPECT_TRUE(reg.note_read_rmr(3));    // first read: remote
+  EXPECT_FALSE(reg.note_read_rmr(3));   // cached: local spin
+  EXPECT_TRUE(reg.note_read_rmr(70));
+  EXPECT_FALSE(reg.note_read_rmr(70));
+  reg.note_write_rmr(70);               // invalidates pid 3's copy
+  EXPECT_TRUE(reg.note_read_rmr(3));
+  EXPECT_FALSE(reg.note_read_rmr(70));  // the writer keeps its copy
+  reg.note_write_rmr(3);                // invalidates pid 70's copy
+  EXPECT_FALSE(reg.note_read_rmr(3));
+  EXPECT_TRUE(reg.note_read_rmr(70));
+  EXPECT_FALSE(reg.note_read_rmr(70));
+
+  // A random mix over pids on both sides of every word boundary.
+  const Pid pids[] = {0, 3, 63, 64, 70, 127, 128, 200};
+  Register<int> mixed(space, 0);
+  ReferenceRmr reference;
+  Rng rng(11);
+  for (int step = 0; step < 4000; ++step) {
+    const Pid pid = pids[rng.index(std::size(pids))];
+    if (rng.bernoulli(0.25)) {
+      mixed.note_write_rmr(pid);
+      reference.write(pid);
+    } else {
+      ASSERT_EQ(mixed.note_read_rmr(pid), reference.read(pid))
+          << "step " << step << " pid " << pid;
+    }
+  }
 }
 
 TEST(Registers, AccessCountsViaSimulation) {
