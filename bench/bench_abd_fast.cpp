@@ -27,8 +27,7 @@
 #include "bench_util.hpp"
 #include "tfr/adapt/controller.hpp"
 #include "tfr/adapt/graph.hpp"
-#include "tfr/mcheck/explorer.hpp"
-#include "tfr/mcheck/scenarios.hpp"
+#include "tfr/mcheck/catalog.hpp"
 #include "tfr/msg/abd.hpp"
 #include "tfr/msg/adversary.hpp"
 #include "tfr/msg/convergence.hpp"
@@ -241,7 +240,6 @@ service::ServiceConfig service_config(adapt::DeltaController* controller) {
   config.shard.drain_hint = 8;
   config.shard.poll_every = kStep;
   config.shard.controller = controller;
-  config.shard.batch_wait_deltas = 2.0;
   // The heterogeneous mix as replica boxes behind the Shard seam: the
   // slow and lossy replicas' *server* endpoints only, so the elected
   // frontend (replica 0) stays clean.
@@ -255,18 +253,6 @@ service::ServiceConfig service_config(adapt::DeltaController* controller) {
   config.load.retry = adaptive_policy();
   config.load.max_attempts = 6;
   config.load.route_seed = 11;
-  return config;
-}
-
-// ---------------------------------------------------------- mcheck cell --
-
-mcheck::ExploreConfig mcheck_config() {
-  mcheck::ExploreConfig config;
-  config.delta = 2;
-  config.failure_cost = 5;
-  config.max_failures = 0;
-  config.slow_budget = 0;
-  config.max_steps = 600;
   return config;
 }
 
@@ -346,8 +332,10 @@ TFR_BENCH_EXPERIMENT(E22, "timeliness graphs + fast quorums (ABD)",
 
   // (d) exhaustive safety: the mcheck ABD scenario, counters pinned
   // exactly (deterministic DFS, jobs-parity checked in CI).
+  const mcheck::NamedCheck abd_check =
+      mcheck::catalog_entry("abd-n3-minority-down");
   const mcheck::CheckResult mc =
-      mcheck::check(mcheck::make_abd_scenario({}), mcheck_config());
+      mcheck::check(abd_check.scenario, abd_check.config);
   Table mc_table("mcheck abd scenario (n=3, one server crashed)");
   mc_table.header({"complete", "violation", "executions", "states"});
   mc_table.row({mc.stats.complete ? "yes" : "NO", mc.violation ? "YES" : "no",

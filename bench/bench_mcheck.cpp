@@ -3,9 +3,10 @@
 // the work-sharing parallel mode, and the real-thread scenarios explored
 // through the atomic interposition seam.
 //
-// Workload: the flagship small configurations (Algorithm 1 n=2 round
-// bound 2, bare Fischer n=2, Algorithm 3 n=2), each explored with the
-// default source-set DPOR; the consensus scenario additionally with
+// Workload: the mcheck::catalog() entries for the flagship small
+// configurations (Algorithm 1 n=2 round bound 2, bare Fischer n=2,
+// Algorithm 3 n=2), each explored with the default source-set DPOR and
+// the entry's own bounds; the consensus scenario additionally with
 // naive DFS to measure the pruning factor, the naive run once more with
 // four forked workers (--jobs 4 equivalent) to measure parallel scaling,
 // and the four rt checks (real Fischer / Algorithm 3 / AtomicMutex code
@@ -27,9 +28,8 @@
 #include <thread>
 
 #include "bench_util.hpp"
+#include "tfr/mcheck/catalog.hpp"
 #include "tfr/mcheck/explorer.hpp"
-#include "tfr/mcheck/rt_scenarios.hpp"
-#include "tfr/mcheck/scenarios.hpp"
 
 using namespace tfr;
 
@@ -40,24 +40,21 @@ struct Timed {
   double seconds = 0;
 };
 
-Timed timed_check(const mcheck::CheckScenario& scenario,
-                  const mcheck::ExploreConfig& config) {
+/// Explores the catalog entry `name` under its own bounds, with the given
+/// reduction and worker count.
+Timed timed_entry(const char* name,
+                  mcheck::Reduction reduction = mcheck::Reduction::kSourceDpor,
+                  int jobs = 1) {
+  mcheck::NamedCheck check = mcheck::catalog_entry(name);
+  check.config.reduction = reduction;
+  check.config.jobs = jobs;
   const auto begin = std::chrono::steady_clock::now();
   Timed timed;
-  timed.result = mcheck::check(scenario, config);
+  timed.result = mcheck::check(check.scenario, check.config);
   timed.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
           .count();
   return timed;
-}
-
-mcheck::ExploreConfig base_config() {
-  mcheck::ExploreConfig config;
-  config.delta = 2;
-  config.failure_cost = 5;
-  config.max_failures = 1;
-  config.slow_budget = 1;
-  return config;
 }
 
 double rate(const Timed& timed) {
@@ -72,49 +69,18 @@ double rate(const Timed& timed) {
 TFR_BENCH_EXPERIMENT(E18, "systematic exploration", bench::Tier::kFull,
                      "mcheck exploration throughput and partial-order "
                      "reduction") {
-  const mcheck::CheckScenario consensus = mcheck::make_consensus_scenario({});
-  mcheck::MutexScenarioConfig fischer_cfg;
-  const mcheck::CheckScenario fischer =
-      mcheck::make_mutex_scenario(fischer_cfg);
-  mcheck::MutexScenarioConfig tfr_cfg;
-  tfr_cfg.algorithm = mcheck::MutexScenarioConfig::Algorithm::kTfrStarvationFree;
-  const mcheck::CheckScenario tfr_mutex = mcheck::make_mutex_scenario(tfr_cfg);
-
-  mcheck::RtMutexScenarioConfig rt_tfr_cfg;
-  rt_tfr_cfg.algorithm =
-      mcheck::RtMutexScenarioConfig::Algorithm::kTfrStarvationFree;
-  mcheck::RtMutexScenarioConfig rt_lock_cfg;
-  rt_lock_cfg.algorithm = mcheck::RtMutexScenarioConfig::Algorithm::kAtomicLock;
-  mcheck::RtEventCountScenarioConfig ec_fixed_cfg;
-  ec_fixed_cfg.torn_epoch = false;
-
-  mcheck::ExploreConfig reduced = base_config();
-  mcheck::ExploreConfig naive = base_config();
-  naive.reduction = mcheck::Reduction::kNone;
-  mcheck::ExploreConfig mutex_config = base_config();
-  mutex_config.slow_budget = -1;
-  mcheck::ExploreConfig eventcount_config = base_config();
-  eventcount_config.max_failures = 0;
-  eventcount_config.slow_budget = 0;
-
-  mcheck::ExploreConfig naive_parallel = naive;
-  naive_parallel.jobs = 4;
-
-  const Timed consensus_reduced = timed_check(consensus, reduced);
-  const Timed consensus_naive = timed_check(consensus, naive);
-  const Timed naive_jobs4 = timed_check(consensus, naive_parallel);
-  const Timed fischer_run = timed_check(fischer, mutex_config);
-  const Timed tfr_run = timed_check(tfr_mutex, base_config());
-  const Timed rt_fischer_run =
-      timed_check(mcheck::make_rt_mutex_scenario({}), base_config());
-  const Timed rt_tfr_run =
-      timed_check(mcheck::make_rt_mutex_scenario(rt_tfr_cfg), base_config());
-  const Timed rt_lock_run =
-      timed_check(mcheck::make_rt_mutex_scenario(rt_lock_cfg), base_config());
-  const Timed ec_torn_run = timed_check(mcheck::make_rt_eventcount_scenario({}),
-                                        eventcount_config);
-  const Timed ec_fixed_run = timed_check(
-      mcheck::make_rt_eventcount_scenario(ec_fixed_cfg), eventcount_config);
+  const Timed consensus_reduced = timed_entry("consensus-n2");
+  const Timed consensus_naive =
+      timed_entry("consensus-n2", mcheck::Reduction::kNone);
+  const Timed naive_jobs4 =
+      timed_entry("consensus-n2", mcheck::Reduction::kNone, /*jobs=*/4);
+  const Timed fischer_run = timed_entry("fischer-n2");
+  const Timed tfr_run = timed_entry("tfr-mutex-n2");
+  const Timed rt_fischer_run = timed_entry("fischer-rt-n2");
+  const Timed rt_tfr_run = timed_entry("tfr-mutex-rt-n2");
+  const Timed rt_lock_run = timed_entry("atomic-lock-rt-n2");
+  const Timed ec_torn_run = timed_entry("eventcount-torn-epoch");
+  const Timed ec_fixed_run = timed_entry("eventcount-write-then-advance");
 
   Table table;
   table.header({"check", "executions", "states", "violation", "exec/s"});

@@ -9,8 +9,8 @@
 // multiplicative-decrease)".  This header turns that remark into a
 // first-class component: everything that waits on a Δ today — the sim
 // consensus/mutex delay(Δ) statements, the ABD client's retry windows, the
-// rt locks' busy-wait delays, the service shards' batch deadlines — can be
-// pointed at one DeltaController and share a single online estimate.
+// rt locks' busy-wait delays — can be pointed at one DeltaController and
+// share a single online estimate.
 //
 // The controller contract is deliberately advisory: current() is the
 // estimate to wait for, on_failure()/on_clean() are performance signals,
@@ -64,8 +64,8 @@ class DeltaController {
   DeltaController(const DeltaController&) = delete;
   DeltaController& operator=(const DeltaController&) = delete;
 
-  /// The current optimistic(Δ) estimate — what delay(Δ), a retry window or
-  /// a batch deadline should be derived from.  Always >= 1.
+  /// The current optimistic(Δ) estimate — what delay(Δ) or a retry window
+  /// should be derived from.  Always >= 1.
   virtual Duration current() const = 0;
 
   /// The per-channel optimistic(Δ) view: what a wait that only involves

@@ -55,20 +55,18 @@ bool event_order(const sim::EnabledEvent& a, const sim::EnabledEvent& b) {
   return a.reg < b.reg;
 }
 
-/// Auto frontier depth: deep enough that even modest branching yields many
-/// more subtrees than workers (load balance), shallow enough that the
-/// enumeration probes stay a negligible fraction of the exploration.
-constexpr std::uint32_t kDefaultPrefixDepth = 6;
-
-/// Fixed activation depth of the kSourceDpor machinery: nodes shallower
-/// than this keep plain sleep-set semantics (explore every non-sleeping
-/// sibling); nodes at-or-below it carry race-driven backtrack sets, and
-/// the state-hash table prunes at exactly this depth.  It deliberately
-/// equals the work-sharing frontier default — parallel runs pin their
-/// frontier here so prefix nodes (owned by the enumerator, never advanced
-/// by workers) are exactly the explore-all ones and every counter stays
-/// byte-identical to the serial run.
-constexpr std::size_t kDporGate = kDefaultPrefixDepth;
+/// Depth of the work-sharing frontier and fixed activation depth of the
+/// kSourceDpor machinery.  As a frontier it is deep enough that even
+/// modest branching yields many more subtrees than workers (load balance),
+/// shallow enough that the enumeration probes stay a negligible fraction
+/// of the exploration.  As the gate: nodes shallower than this keep plain
+/// sleep-set semantics (explore every non-sleeping sibling); nodes
+/// at-or-below it carry race-driven backtrack sets, and the state-hash
+/// table prunes at exactly this depth.  The two coincide so prefix nodes
+/// (owned by the enumerator, never advanced by workers) are exactly the
+/// explore-all ones and every counter stays byte-identical to the serial
+/// run.
+constexpr std::size_t kDporGate = 6;
 
 std::uint64_t fold64(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -885,15 +883,8 @@ bool payload_has_violation(const std::string& payload) {
 
 CheckResult check_parallel(const CheckScenario& scenario,
                            const ExploreConfig& config) {
-  // Under kSourceDpor the frontier must coincide with the reduction gate:
-  // backtrack sets and state hashing operate only at-or-below the gate, so
-  // prefix nodes are exactly the explore-all ones and every counter stays
-  // byte-identical to the serial run (see kDporGate).
-  const std::uint32_t depth =
-      config.reduction == Reduction::kSourceDpor
-          ? static_cast<std::uint32_t>(kDporGate)
-          : (config.prefix_depth != 0 ? config.prefix_depth
-                                      : kDefaultPrefixDepth);
+  // The frontier coincides with the reduction gate (see kDporGate).
+  const auto depth = static_cast<std::uint32_t>(kDporGate);
 
   // Phase 1 (in-process): partition the tree at the frontier.
   Explorer enumerator(config, Explorer::Mode::kEnumerate, depth);

@@ -115,23 +115,15 @@ struct ExploreConfig {
   /// of the replay artifact).
   std::uint64_t seed = 1;
   /// Worker processes for exploration.  1 = serial, in-process.  With
-  /// jobs > 1 the decision tree is partitioned at a work-sharing frontier
-  /// (see prefix_depth) and disjoint subtrees are explored by forked
-  /// workers.  Results are merged deterministically: the reported stats,
-  /// verdict and counterexample are identical to a jobs == 1 run — the
-  /// first violation is resolved to the lexicographically-least decision
-  /// path, not to whichever worker won the race.  Sole deviation:
-  /// max_executions is enforced per worker subtree, not globally.
+  /// jobs > 1 the decision tree is partitioned at a fixed work-sharing
+  /// frontier depth (the kSourceDpor gate, for either reduction) and
+  /// disjoint subtrees are explored by forked workers.  Results are merged
+  /// deterministically: the reported stats, verdict and counterexample are
+  /// identical to a jobs == 1 run — the first violation is resolved to the
+  /// lexicographically-least decision path, not to whichever worker won
+  /// the race.  Sole deviation: max_executions is enforced per worker
+  /// subtree, not globally.
   int jobs = 1;
-  /// Decision-tree depth of the work-sharing frontier (parallel mode
-  /// only): executions are grouped by their first `prefix_depth` decisions
-  /// and each group becomes one worker's subtree.  0 = auto.  Under
-  /// kSourceDpor the frontier is pinned to the reduction's fixed gate
-  /// depth regardless of this value: backtrack sets and the state-hash
-  /// table only operate at-or-below the gate, so pinning the frontier
-  /// there is what keeps every parallel counter byte-identical to the
-  /// serial run.
-  std::uint32_t prefix_depth = 0;
 };
 
 struct ExploreStats {

@@ -1,209 +1,39 @@
 // tfr_mcheck — systematic schedule exploration for small configurations.
 //
-//   $ tfr_mcheck --all              # every built-in check, with expectations
-//   $ tfr_mcheck --consensus       # Algorithm 1, n=2, round bound 2
-//   $ tfr_mcheck --fischer         # bare Fischer: must find an ME violation
-//   $ tfr_mcheck --tfr-mutex      # Algorithm 3 (starvation-free A), n=2
-//   $ tfr_mcheck --fischer --save fischer.run   # save the counterexample
-//   $ tfr_mcheck --fischer --replay fischer.run # re-check a saved run
-//   $ tfr_mcheck --rt               # the real-thread code through the shim
+//   $ tfr_mcheck                     # the simulator checks (= --all)
+//   $ tfr_mcheck --all --rt          # every check in the catalog
+//   $ tfr_mcheck --check consensus-n2 --check abd-n3-minority-down
+//   $ tfr_mcheck --check fischer-n2 --save fischer.run    # save the cex
+//   $ tfr_mcheck --check fischer-n2 --replay fischer.run  # re-check it
+//   $ tfr_mcheck --rt                # the real-thread code through the shim
 //
-// Options: --naive (naive DFS, no reduction), --seed N, --max-executions N,
-// --jobs N (forked parallel exploration — verdicts, stats and
-// counterexamples are identical to --jobs 1), --prefix-depth N
-// (work-sharing frontier depth; 0 = auto).  Exit status 0 iff every
-// executed check matched its expectation (violation found / not found,
-// counterexample replays byte-identically).  Multi-check runs end with a
-// per-check wall-time summary table.
+// The checks are the mcheck::catalog() entries: --check NAME (repeatable)
+// selects one by name, --all the sim group, --rt the rt group; selected
+// checks run in catalog order.  --save and --replay need exactly one
+// selected check.  Options: --naive (naive DFS, no reduction), --seed N,
+// --max-executions N, --jobs N (forked parallel exploration — verdicts,
+// stats and counterexamples are identical to --jobs 1).  Exit status 0
+// iff every executed check matched its expectation (violation found / not
+// found, counterexample replays byte-identically), 2 on a usage error.
+// Multi-check runs end with a per-check wall-time summary table.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "tfr/common/table.hpp"
+#include "tfr/mcheck/catalog.hpp"
 #include "tfr/mcheck/explorer.hpp"
-#include "tfr/mcheck/rt_scenarios.hpp"
-#include "tfr/mcheck/scenarios.hpp"
 #include "tfr/obs/replay.hpp"
 
 namespace {
 
 using namespace tfr;
-
-struct NamedCheck {
-  std::string name;
-  std::string description;
-  mcheck::CheckScenario scenario;
-  mcheck::ExploreConfig config;
-  bool expect_violation = false;
-};
-
-mcheck::ExploreConfig base_config() {
-  mcheck::ExploreConfig config;
-  config.delta = 2;
-  config.failure_cost = 5;
-  config.max_failures = 1;
-  config.slow_budget = 1;
-  return config;
-}
-
-NamedCheck consensus_check() {
-  NamedCheck check;
-  check.name = "consensus-n2";
-  check.description = "Algorithm 1, n=2, inputs {0,1}, round bound 2";
-  check.scenario = mcheck::make_consensus_scenario({});
-  check.config = base_config();
-  check.expect_violation = false;
-  return check;
-}
-
-NamedCheck fischer_check() {
-  NamedCheck check;
-  check.name = "fischer-n2";
-  check.description =
-      "bare Fischer (Algorithm 2), n=2, one timing failure allowed";
-  mcheck::MutexScenarioConfig scenario;
-  scenario.algorithm = mcheck::MutexScenarioConfig::Algorithm::kFischer;
-  check.scenario = mcheck::make_mutex_scenario(scenario);
-  check.config = base_config();
-  check.config.slow_budget = -1;  // few accesses: afford the full menu
-  check.expect_violation = true;
-  return check;
-}
-
-NamedCheck abd_check() {
-  NamedCheck check;
-  check.name = "abd-n3-minority-down";
-  check.description =
-      "ABD register, n=3, one server crashed: reads/writes linearize";
-  check.scenario = mcheck::make_abd_scenario({});
-  check.config = base_config();
-  // The crash is the fault under exploration; timing stays minimal so the
-  // schedule space (many channel registers) remains tractable.
-  check.config.max_failures = 0;
-  check.config.slow_budget = 0;
-  check.config.max_steps = 600;
-  check.expect_violation = false;
-  return check;
-}
-
-NamedCheck tfr_mutex_check() {
-  NamedCheck check;
-  check.name = "tfr-mutex-n2";
-  check.description =
-      "Algorithm 3 over starvation-free A, n=2, one timing failure allowed";
-  mcheck::MutexScenarioConfig scenario;
-  scenario.algorithm =
-      mcheck::MutexScenarioConfig::Algorithm::kTfrStarvationFree;
-  check.scenario = mcheck::make_mutex_scenario(scenario);
-  check.config = base_config();
-  check.expect_violation = false;
-  return check;
-}
-
-NamedCheck mistuned_controller_check() {
-  NamedCheck check;
-  check.name = "tfr-mutex-mistuned-n2";
-  check.description =
-      "Algorithm 3 with the adaptive Δ estimate pinned at the floor: "
-      "safety must not depend on the estimate";
-  mcheck::MutexScenarioConfig scenario;
-  scenario.algorithm =
-      mcheck::MutexScenarioConfig::Algorithm::kTfrStarvationFree;
-  scenario.mistuned_controller = true;
-  check.scenario = mcheck::make_mutex_scenario(scenario);
-  check.config = base_config();
-  check.expect_violation = false;
-  return check;
-}
-
-// ---------------------------------------------------------------------------
-// Real-thread checks: the production lock code (mutex_rt.hpp,
-// atomic_mutex.hpp) instantiated with ShimAtomics and driven through the
-// interposition seam — the checker explores the same source production
-// runs, not a transcription.
-
-NamedCheck fischer_rt_check() {
-  NamedCheck check;
-  check.name = "fischer-rt-n2";
-  check.description =
-      "real-thread Fischer through the shim: one timing failure breaks ME";
-  mcheck::RtMutexScenarioConfig scenario;
-  scenario.algorithm = mcheck::RtMutexScenarioConfig::Algorithm::kFischer;
-  check.scenario = mcheck::make_rt_mutex_scenario(scenario);
-  check.config = base_config();
-  check.expect_violation = true;
-  return check;
-}
-
-NamedCheck tfr_mutex_rt_check() {
-  NamedCheck check;
-  check.name = "tfr-mutex-rt-n2";
-  check.description =
-      "real-thread Algorithm 3 (starvation-free A) through the shim";
-  mcheck::RtMutexScenarioConfig scenario;
-  scenario.algorithm =
-      mcheck::RtMutexScenarioConfig::Algorithm::kTfrStarvationFree;
-  check.scenario = mcheck::make_rt_mutex_scenario(scenario);
-  check.config = base_config();
-  check.expect_violation = false;
-  return check;
-}
-
-NamedCheck atomic_lock_rt_check() {
-  NamedCheck check;
-  check.name = "atomic-lock-rt-n2";
-  check.description =
-      "futex-class AtomicMutex through the shim: wait/notify protocol";
-  mcheck::RtMutexScenarioConfig scenario;
-  scenario.algorithm = mcheck::RtMutexScenarioConfig::Algorithm::kAtomicLock;
-  check.scenario = mcheck::make_rt_mutex_scenario(scenario);
-  check.config = base_config();
-  check.expect_violation = false;
-  return check;
-}
-
-NamedCheck eventcount_torn_check() {
-  NamedCheck check;
-  check.name = "eventcount-torn-epoch";
-  check.description =
-      "EventCount with advance() before the state write: lost wakeup";
-  check.scenario = mcheck::make_rt_eventcount_scenario({.torn_epoch = true});
-  check.config = base_config();
-  // The bug is a pure ordering race; no timing failures needed to find it.
-  check.config.max_failures = 0;
-  check.config.slow_budget = 0;
-  check.expect_violation = true;
-  return check;
-}
-
-NamedCheck eventcount_correct_check() {
-  NamedCheck check;
-  check.name = "eventcount-write-then-advance";
-  check.description =
-      "EventCount with the documented publication order: no lost wakeup";
-  check.scenario = mcheck::make_rt_eventcount_scenario({.torn_epoch = false});
-  check.config = base_config();
-  check.config.max_failures = 0;
-  check.config.slow_budget = 0;
-  check.expect_violation = false;
-  return check;
-}
-
-std::vector<NamedCheck> rt_checks() {
-  std::vector<NamedCheck> checks;
-  checks.push_back(fischer_rt_check());
-  checks.push_back(tfr_mutex_rt_check());
-  checks.push_back(atomic_lock_rt_check());
-  checks.push_back(eventcount_torn_check());
-  checks.push_back(eventcount_correct_check());
-  return checks;
-}
 
 void print_stats(const mcheck::ExploreStats& stats) {
   std::printf(
@@ -239,7 +69,7 @@ struct CheckReport {
 /// Runs one check and compares against its expectation; on violation the
 /// counterexample is replayed through the obs trace layer and must match
 /// byte-for-byte.  Returns true iff everything matched.
-bool run_check(const NamedCheck& check, const std::string& save_path,
+bool run_check(const mcheck::NamedCheck& check, const std::string& save_path,
                CheckReport& report) {
   std::printf("[mcheck] %s — %s\n", check.name.c_str(),
               check.description.c_str());
@@ -322,7 +152,7 @@ void print_summary(const std::vector<CheckReport>& reports) {
   std::printf("total wall: %.1f ms\n", total_ms);
 }
 
-bool replay_saved(const NamedCheck& check, const std::string& path) {
+bool replay_saved(const mcheck::NamedCheck& check, const std::string& path) {
   const std::optional<obs::RecordedRun> run = obs::RecordedRun::load(path);
   if (!run) {
     std::printf("[mcheck] could not load a recorded run from %s\n",
@@ -342,53 +172,53 @@ bool replay_saved(const NamedCheck& check, const std::string& path) {
 
 int usage() {
   std::printf(
-      "usage: tfr_mcheck [--all] [--consensus] [--fischer] [--tfr-mutex]\n"
-      "                  [--mistuned] [--abd] [--rt] [--fischer-rt]\n"
-      "                  [--eventcount]\n"
-      "                  [--naive] [--seed N]\n"
-      "                  [--max-executions N] [--jobs N] [--prefix-depth N]\n"
-      "                  [--save FILE] [--replay FILE]\n");
+      "usage: tfr_mcheck [--check NAME]... [--all] [--rt]\n"
+      "                  [--naive] [--seed N] [--max-executions N] [--jobs N]\n"
+      "                  [--save FILE | --replay FILE]  (one check only)\n"
+      "checks:");
+  for (const mcheck::NamedCheck& check : mcheck::catalog())
+    std::printf(" %s", check.name.c_str());
+  std::printf("\n");
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<NamedCheck> selected;
+  std::vector<mcheck::NamedCheck> checks = mcheck::catalog();
+  std::vector<bool> selected(checks.size(), false);
+  // Marks every check `pick` accepts; false when it accepts none.
+  const auto select = [&](auto&& pick) {
+    bool any = false;
+    for (std::size_t i = 0; i < checks.size(); ++i) {
+      if (pick(checks[i])) selected[i] = any = true;
+    }
+    return any;
+  };
+  const auto in_group = [](mcheck::CheckGroup group) {
+    return [group](const mcheck::NamedCheck& c) { return c.group == group; };
+  };
   bool naive = false;
   std::uint64_t seed = 1;
   std::uint64_t max_executions = 0;
   int jobs = 1;
-  std::uint32_t prefix_depth = 0;
   std::string save_path;
   std::string replay_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--all") {
-      selected.push_back(consensus_check());
-      selected.push_back(fischer_check());
-      selected.push_back(tfr_mutex_check());
-      selected.push_back(mistuned_controller_check());
-      selected.push_back(abd_check());
-    } else if (arg == "--consensus") {
-      selected.push_back(consensus_check());
-    } else if (arg == "--fischer") {
-      selected.push_back(fischer_check());
-    } else if (arg == "--tfr-mutex") {
-      selected.push_back(tfr_mutex_check());
-    } else if (arg == "--mistuned") {
-      selected.push_back(mistuned_controller_check());
-    } else if (arg == "--abd") {
-      selected.push_back(abd_check());
+      select(in_group(mcheck::CheckGroup::kSim));
     } else if (arg == "--rt") {
-      for (NamedCheck& check : rt_checks())
-        selected.push_back(std::move(check));
-    } else if (arg == "--fischer-rt") {
-      selected.push_back(fischer_rt_check());
-    } else if (arg == "--eventcount") {
-      selected.push_back(eventcount_torn_check());
-      selected.push_back(eventcount_correct_check());
+      select(in_group(mcheck::CheckGroup::kRt));
+    } else if (arg == "--check" && i + 1 < argc) {
+      const std::string name = argv[++i];
+      if (!select([&name](const mcheck::NamedCheck& c) {
+            return c.name == name;
+          })) {
+        std::printf("[mcheck] unknown check '%s'\n", name.c_str());
+        return usage();
+      }
     } else if (arg == "--naive") {
       naive = true;
     } else if (arg == "--seed" && i + 1 < argc) {
@@ -398,9 +228,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs" && i + 1 < argc) {
       jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
       if (jobs < 1) return usage();
-    } else if (arg == "--prefix-depth" && i + 1 < argc) {
-      prefix_depth =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--save" && i + 1 < argc) {
       save_path = argv[++i];
     } else if (arg == "--replay" && i + 1 < argc) {
@@ -409,21 +236,22 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (selected.empty()) {
-    selected.push_back(consensus_check());
-    selected.push_back(fischer_check());
-    selected.push_back(tfr_mutex_check());
-    selected.push_back(abd_check());
-  }
+  if (std::count(selected.begin(), selected.end(), true) == 0)
+    select(in_group(mcheck::CheckGroup::kSim));
+  // A saved or replayed run belongs to exactly one scenario.
+  if ((!save_path.empty() || !replay_path.empty()) &&
+      std::count(selected.begin(), selected.end(), true) != 1)
+    return usage();
 
   bool ok = true;
   std::vector<CheckReport> reports;
-  for (NamedCheck& check : selected) {
+  for (std::size_t i = 0; i < checks.size(); ++i) {
+    if (!selected[i]) continue;
+    mcheck::NamedCheck& check = checks[i];
     if (naive) check.config.reduction = mcheck::Reduction::kNone;
     check.config.seed = seed;
     if (max_executions > 0) check.config.max_executions = max_executions;
     check.config.jobs = jobs;
-    check.config.prefix_depth = prefix_depth;
     if (!replay_path.empty()) {
       ok = replay_saved(check, replay_path) && ok;
       continue;

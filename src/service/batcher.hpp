@@ -73,13 +73,6 @@ class Batcher {
   }
   const BatchPolicy& policy() const { return policy_; }
 
-  /// Retunes the deadline flush threshold; the frontend calls this each
-  /// serve iteration when an adaptive Δ controller drives the batch
-  /// deadline (Shard, ShardConfig::batch_wait_deltas).
-  void set_max_wait(sim::Duration max_wait) {
-    if (max_wait >= 1) policy_.max_wait = max_wait;
-  }
-
   std::uint64_t size_flushes() const { return size_flushes_; }
   std::uint64_t deadline_flushes() const { return deadline_flushes_; }
 

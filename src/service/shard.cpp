@@ -1,7 +1,6 @@
 #include "tfr/service/shard.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace tfr::service {
 
@@ -66,13 +65,6 @@ sim::Process Shard::node_main(sim::Env env, int node) {
 sim::Task<void> Shard::serve(sim::Env env, msg::AbdClient& client) {
   for (;;) {
     const sim::Time now = env.now();
-    // Adaptive batch deadline: track the controller's current Δ estimate
-    // so deadline flushes stay proportional to observed step time.
-    if (cfg_.controller != nullptr && cfg_.batch_wait_deltas > 0) {
-      batcher_.set_max_wait(static_cast<sim::Duration>(
-          std::ceil(static_cast<double>(cfg_.controller->current()) *
-                    cfg_.batch_wait_deltas)));
-    }
     // Post-heal drain clock: the outage backlog counts as worked off once
     // what is waiting (queue + pending batch) fits in a single batch
     // again.  Checked at the loop top so time spent blocked in a healing

@@ -54,13 +54,10 @@ struct ShardConfig {
   int data_reg = 1 << 18;          ///< logical register id (above election's)
 
   /// Adaptive optimistic(Δ): when set, the shard's AbdClients report
-  /// window expiries / clean quorums / phase RTTs to this controller (see
-  /// msg::AbdClient::set_delta_controller), and — with batch_wait_deltas
-  /// > 0 — the frontend retunes the batch deadline each iteration to
-  /// ceil(controller->current() * batch_wait_deltas), so batch latency
-  /// tracks the currently observed step time instead of a static guess.
+  /// window expiries / clean quorums / phase RTTs to this controller and
+  /// size their per-peer ack windows from it (see
+  /// msg::AbdClient::set_delta_controller).
   adapt::DeltaController* controller = nullptr;
-  double batch_wait_deltas = 0.0;
 
   /// Heterogeneous replicas: per-replica channel faults applied to every
   /// channel touching the replica's two endpoints (client + server), both

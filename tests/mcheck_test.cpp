@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "tfr/common/contracts.hpp"
+#include "tfr/mcheck/catalog.hpp"
 #include "tfr/mcheck/explorer.hpp"
 #include "tfr/mcheck/rt_scenarios.hpp"
 #include "tfr/mcheck/scenarios.hpp"
@@ -268,24 +275,14 @@ TEST(McheckParallel, AbdFastReadMatchesSerial) {
   expect_parallel_equivalent(mcheck::make_abd_scenario(scenario), config);
 }
 
-// The frontier depth only changes how work is partitioned, never what is
-// counted: extreme depths (1 = a handful of huge subtrees, 64 = every
-// probe ends as a short-leaf singleton item) must all reproduce the
-// serial stats.
-TEST(McheckParallel, PrefixDepthInsensitive) {
+// Naive DFS (no reduction) partitions at the same frontier depth; no
+// reduction state crosses the frontier, so the merged counters must equal
+// the serial ones.  A slow-access budget of 0 keeps the naive tree small.
+TEST(McheckParallel, NaiveMatchesSerial) {
   mcheck::ExploreConfig config = small_config();
   config.slow_budget = 0;
-  const mcheck::CheckScenario scenario = mcheck::make_consensus_scenario({});
-  config.jobs = 1;
-  const mcheck::CheckResult serial = mcheck::check(scenario, config);
-  for (const std::uint32_t depth : {1u, 3u, 64u}) {
-    SCOPED_TRACE("prefix_depth=" + std::to_string(depth));
-    config.jobs = 2;
-    config.prefix_depth = depth;
-    const mcheck::CheckResult parallel = mcheck::check(scenario, config);
-    EXPECT_FALSE(parallel.violation);
-    expect_stats_equal(parallel.stats, serial.stats);
-  }
+  config.reduction = mcheck::Reduction::kNone;
+  expect_parallel_equivalent(mcheck::make_consensus_scenario({}), config);
 }
 
 // max_executions is documented as per-worker-subtree in parallel mode;
@@ -448,6 +445,53 @@ TEST(RtShimWaitNotify, AtomicLockVerifiesCleanInProcess) {
   EXPECT_FALSE(result.violation) << result.what;
   EXPECT_TRUE(result.stats.complete);
   EXPECT_GT(result.stats.executions, 10u);
+}
+
+// --- the named check catalog ---------------------------------------------
+
+TEST(McheckCatalog, NamesAreUniqueAndEachEntryHasOneGroup) {
+  const std::vector<mcheck::NamedCheck> checks = mcheck::catalog();
+  std::set<std::string> names;
+  std::size_t sim = 0;
+  std::size_t rt = 0;
+  for (const mcheck::NamedCheck& check : checks) {
+    EXPECT_TRUE(names.insert(check.name).second) << check.name;
+    EXPECT_FALSE(check.description.empty()) << check.name;
+    if (check.group == mcheck::CheckGroup::kSim) {
+      ++sim;
+    } else {
+      ++rt;
+    }
+  }
+  EXPECT_EQ(sim, 5u);
+  EXPECT_EQ(rt, 5u);
+  EXPECT_EQ(sim + rt, checks.size());
+  EXPECT_EQ(mcheck::catalog_entry("fischer-rt-n2").group,
+            mcheck::CheckGroup::kRt);
+  EXPECT_THROW(mcheck::catalog_entry("no-such-check"), ContractViolation);
+}
+
+// The cheap entries reach their expected verdicts in exactly these many
+// executions: a change to an entry's scenario or bounds moves the count.
+TEST(McheckCatalog, CheapEntriesReachTheirVerdicts) {
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"consensus-n2", 3410},
+      {"abd-n3-minority-down", 48},
+      {"atomic-lock-rt-n2", 139},
+      {"eventcount-torn-epoch", 2},
+      {"eventcount-write-then-advance", 4},
+  };
+  for (const auto& [name, executions] : expected) {
+    SCOPED_TRACE(name);
+    const mcheck::NamedCheck check = mcheck::catalog_entry(name);
+    const mcheck::CheckResult result =
+        mcheck::check(check.scenario, check.config);
+    EXPECT_EQ(result.violation, check.expect_violation) << result.what;
+    if (!check.expect_violation) {
+      EXPECT_TRUE(result.stats.complete);
+    }
+    EXPECT_EQ(result.stats.executions, executions);
+  }
 }
 
 }  // namespace
