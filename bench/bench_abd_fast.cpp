@@ -42,15 +42,7 @@ constexpr sim::Duration kStep = 50;  // per-channel access cost bound
 /// The E21 adaptive retry discipline: first window = 2.0 x the per-peer
 /// estimate, small backoff.
 msg::RetryPolicy adaptive_policy() {
-  msg::RetryPolicy policy;
-  policy.timeout = 40 * kStep;
-  policy.timeout_growth = 2.0;
-  policy.max_timeout = 320 * kStep;
-  policy.backoff = 2 * kStep;
-  policy.backoff_growth = 2.0;
-  policy.max_backoff = 40 * kStep;
-  policy.jitter = kStep;
-  policy.poll_every = 5;
+  msg::RetryPolicy policy = bench::hardened_retry(kStep);
   policy.timeout_per_delta = 2.0;
   return policy;
 }

@@ -207,24 +207,10 @@ DriftRow run_drift(RowKind kind, std::uint64_t seed) {
 
 constexpr sim::Duration kStep = 50;  // E19's per-channel access cost bound
 
-/// The E19 hardened retry discipline (static ack windows).
-msg::RetryPolicy static_policy() {
-  msg::RetryPolicy policy;
-  policy.timeout = 40 * kStep;
-  policy.timeout_growth = 2.0;
-  policy.max_timeout = 320 * kStep;
-  policy.backoff = 2 * kStep;
-  policy.backoff_growth = 2.0;
-  policy.max_backoff = 40 * kStep;
-  policy.jitter = kStep;
-  policy.poll_every = 5;
-  return policy;
-}
-
 /// The engineer who could not tune: cover the worst case with the
 /// maximum window (what a deployment does when nobody measured RTTs).
 msg::RetryPolicy pessimistic_policy() {
-  msg::RetryPolicy policy = static_policy();
+  msg::RetryPolicy policy = bench::hardened_retry(kStep);
   policy.timeout = 320 * kStep;
   return policy;
 }
@@ -232,7 +218,7 @@ msg::RetryPolicy pessimistic_policy() {
 /// The same discipline with the initial window derived from the shared
 /// estimate instead of an engineered guess.
 msg::RetryPolicy adaptive_policy() {
-  msg::RetryPolicy policy = static_policy();
+  msg::RetryPolicy policy = bench::hardened_retry(kStep);
   policy.timeout_per_delta = 2.0;
   return policy;
 }
@@ -532,7 +518,7 @@ TFR_BENCH_EXPERIMENT(E21, "sections 1.2, 3.3 (adaptive optimistic delta)",
                    {.name = "adaptive (2.0 x estimate)"}};
   for (int row = 0; row < 3; ++row) {
     Cell& cell = cells[row];
-    const msg::RetryPolicy policy = row == 0   ? static_policy()
+    const msg::RetryPolicy policy = row == 0   ? bench::hardened_retry(kStep)
                                     : row == 1 ? pessimistic_policy()
                                                : adaptive_policy();
     for (std::uint64_t seed = 0; seed < 4; ++seed) {

@@ -28,21 +28,6 @@ namespace {
 
 constexpr sim::Duration kStep = 50;  // per-channel-access cost bound
 
-/// The retry discipline every hardened client runs with (the same shape
-/// the msg tests validate: windows and pauses in units of the step cost).
-msg::RetryPolicy retry_policy() {
-  msg::RetryPolicy policy;
-  policy.timeout = 40 * kStep;
-  policy.timeout_growth = 2.0;
-  policy.max_timeout = 320 * kStep;
-  policy.backoff = 2 * kStep;
-  policy.backoff_growth = 2.0;
-  policy.max_backoff = 40 * kStep;
-  policy.jitter = kStep;
-  policy.poll_every = 5;
-  return policy;
-}
-
 /// The acceptance-criterion fault mix: 20% drop, 5% duplicate, reorder on.
 msg::ChannelFaults acceptance_faults() {
   msg::ChannelFaults faults;
@@ -92,8 +77,8 @@ AbdRun run_abd(const msg::ChannelFaults& faults, std::uint64_t net_seed,
   sim::Time finish = -1;
   std::vector<std::unique_ptr<msg::AbdClient>> clients;
   for (int i = 0; i < n; ++i) {
-    clients.push_back(
-        std::make_unique<msg::AbdClient>(net, i, n, retry_policy()));
+    clients.push_back(std::make_unique<msg::AbdClient>(
+        net, i, n, bench::hardened_retry(kStep)));
     clients.back()->set_monitor(&monitor);
   }
   for (int i = 0; i < n; ++i) {
@@ -210,7 +195,7 @@ TFR_BENCH_EXPERIMENT(E19, "section 4 (network failures)", bench::Tier::kSmoke,
     adversary.set_default_faults(acceptance_faults());
     net.set_adversary(&adversary);
     msg::MsgConsensus consensus(net, n, 60 * kStep, /*reg_base=*/0,
-                                retry_policy());
+                                bench::hardened_retry(kStep));
     consensus.monitor().throw_on_violation(false);
     for (int i = 0; i < n; ++i) {
       consensus.monitor().set_input(i, i % 2);

@@ -26,21 +26,6 @@ namespace {
 
 constexpr sim::Duration kStep = 50;  // per-channel-access cost bound (Δ)
 
-/// The E19 hardened retry discipline: ABD ack windows and client backoff
-/// in units of the step bound.
-msg::RetryPolicy retry_policy() {
-  msg::RetryPolicy policy;
-  policy.timeout = 40 * kStep;
-  policy.timeout_growth = 2.0;
-  policy.max_timeout = 320 * kStep;
-  policy.backoff = 2 * kStep;
-  policy.backoff_growth = 2.0;
-  policy.max_backoff = 40 * kStep;
-  policy.jitter = kStep;
-  policy.poll_every = 5;
-  return policy;
-}
-
 service::ServiceConfig base_config() {
   service::ServiceConfig config;
   config.shards = 4;
@@ -48,14 +33,14 @@ service::ServiceConfig base_config() {
   config.sim_seed = 1;
   config.shard.replicas = 3;
   config.shard.delta = kStep;
-  config.shard.abd_retry = retry_policy();
+  config.shard.abd_retry = bench::hardened_retry(kStep);
   config.shard.batch.max_batch = 256;
   config.shard.batch.max_wait = 4 * kStep;
   config.shard.queue_capacity = 4096;
   config.shard.drain_hint = 8;
   config.shard.poll_every = kStep;
   config.load.tick = kStep;
-  config.load.retry = retry_policy();
+  config.load.retry = bench::hardened_retry(kStep);
   config.load.max_attempts = 6;
   config.load.route_seed = 11;
   return config;

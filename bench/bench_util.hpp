@@ -25,8 +25,10 @@
 #include "tfr/benchkit/registry.hpp"
 #include "tfr/common/stats.hpp"
 #include "tfr/common/table.hpp"
+#include "tfr/msg/abd.hpp"
 #include "tfr/obs/metrics.hpp"
 #include "tfr/obs/trace.hpp"
+#include "tfr/sim/types.hpp"
 
 namespace tfr::bench {
 
@@ -56,6 +58,20 @@ inline void trace_metrics(Recorder& rec, const std::string& prefix,
   if (delta > 0 && m.timing_failures > 0 && m.last_decision >= 0)
     rec.metric(prefix + ".convergence_after_failures",
                m.convergence_after_failures_in_delta(delta), "delta");
+}
+
+/// The hardened retry discipline of E19–E22: ABD ack windows and client
+/// backoff in units of the per-channel access cost bound `step`.  Callers
+/// change only what differs (an adaptive first window, a pessimistic one).
+inline msg::RetryPolicy hardened_retry(sim::Duration step) {
+  return {.timeout = 40 * step,
+          .timeout_growth = 2.0,
+          .max_timeout = 320 * step,
+          .backoff = 2 * step,
+          .backoff_growth = 2.0,
+          .max_backoff = 40 * step,
+          .jitter = step,
+          .poll_every = 5};
 }
 
 /// Formats a Samples summary as "mean (min..max)" in the given unit.

@@ -14,11 +14,13 @@ layering bug.  Deliberate uses (monitor peeks after the run, memory-
 failure injection between events) carry an `untimed-ok:` annotation.
 
 Real-thread scope (src/rt, src/mutex/mutex_rt.*, src/mutex/
-lock_adapters.hpp, src/registers/atomic_register.hpp, plus the adaptive
-controllers in src/adapt/ that rt threads may share): rt algorithm code
-is templated over the Atomics policy (src/rt/atomics_policy.hpp) so the
-same source runs on std::atomic in production and through the mcheck
-interposition seam (src/rt/shim/) under verification.  Two rules:
+lock_adapters.hpp, src/core/consensus_rt.*, src/derived/derived_rt.*,
+src/registers/atomic_register.hpp and register_array.hpp, plus the
+adaptive controllers in src/adapt/ that rt threads may share): rt
+algorithm code is templated over the Atomics policy
+(src/rt/atomics_policy.hpp) so the same source runs on std::atomic in
+production and through the mcheck interposition seam (src/rt/shim/)
+under verification.  Two rules:
 
   * raw `std::atomic` / `std::atomic_flag` cells bypass the seam — the
     checker cannot see or reorder those accesses.  Harness-only
@@ -31,9 +33,7 @@ interposition seam (src/rt/shim/) under verification.  Two rules:
 
 The policy definition itself (atomics_policy.hpp) and the seam
 implementation (src/rt/shim/) are the two sides of the boundary and are
-exempt.  consensus_rt.cpp / derived_rt.cpp predate the seam and stay
-outside it for now (TSan covers them); widening the rt scope to them is
-tracked in ROADMAP.md.
+exempt.
 
 Exit status: 0 when clean, 1 with findings (one per line, file:line).
 """
@@ -51,7 +51,12 @@ RT_FILES = (
     "src/mutex/mutex_rt.hpp",
     "src/mutex/mutex_rt.cpp",
     "src/mutex/lock_adapters.hpp",
+    "src/core/consensus_rt.hpp",
+    "src/core/consensus_rt.cpp",
+    "src/derived/derived_rt.hpp",
+    "src/derived/derived_rt.cpp",
     "src/registers/atomic_register.hpp",
+    "src/registers/register_array.hpp",
     # Adaptive controllers may be shared by rt threads (AtomicAimd), so
     # the whole directory — including the per-channel estimator and the
     # timeliness graph — carries the same annotation discipline.

@@ -1,57 +1,7 @@
 #include "tfr/core/consensus_rt.hpp"
 
-#include "tfr/common/contracts.hpp"
-
 namespace tfr::rt {
 
-RtConsensus::RtConsensus(Config config)
-    : config_(config), x0_(0), x1_(0), y_(kBot), decide_(kBot) {
-  TFR_REQUIRE(config.delta.count() >= 0);
-}
-
-RtConsensus::Result RtConsensus::propose(int input) {
-  TFR_REQUIRE(input == 0 || input == 1);
-  Result result;
-  int v = input;
-  std::size_t r = 0;
-  for (;;) {
-    // Line 1: while decide = ⊥ (also completes the 7-step fast path).
-    ++result.steps;
-    const int decided = decide_.read();
-    if (decided != kBot) {
-      result.value = decided;
-      result.rounds = r + 1;
-      return result;
-    }
-    // Line 2: flag our preference for round r.
-    ++result.steps;
-    (v == 0 ? x0_ : x1_).at(r).write(1);
-    maybe_stall(config_.faults, "consensus.after_flag");
-    // Line 3: publish v as the round's proposal if none is there yet.
-    ++result.steps;
-    const int proposal = y_.at(r).read();
-    maybe_stall(config_.faults, "consensus.after_read_y");
-    if (proposal == kBot) {
-      ++result.steps;
-      y_.at(r).write(v);
-    }
-    // Line 4: if nobody flagged the conflicting preference, decide.
-    ++result.steps;
-    const int conflicting = (v == 0 ? x1_ : x0_).at(r).read();
-    if (conflicting == 0) {
-      maybe_stall(config_.faults, "consensus.before_decide");
-      ++result.steps;
-      decide_.write(v);
-    } else {
-      // Lines 5-7: wait out the bound, adopt the proposal, retry.
-      ++result.delays;
-      spin_for(config_.delta);
-      ++result.steps;
-      v = y_.at(r).read();
-      TFR_INVARIANT(v != kBot);
-      r += 1;
-    }
-  }
-}
+template class BasicRtConsensus<StdAtomics>;
 
 }  // namespace tfr::rt

@@ -6,43 +6,14 @@ namespace tfr::rt {
 
 namespace {
 constexpr int kPidBits = 24;
-constexpr std::size_t kMaxUniversalSlots = 65536;
 }  // namespace
 
 RtMultiConsensus::RtMultiConsensus(Config config)
     : config_(config),
-      x0_(0),
-      x1_(0),
-      y_(-1),
-      decide_(-1),
+      binary_({.delta = config.delta}, static_cast<std::size_t>(config.bits)),
       witness0_(-1),
       witness1_(-1) {
   TFR_REQUIRE(config.bits >= 1 && config.bits <= 62);
-}
-
-int RtMultiConsensus::propose_bit(int bit, int input) {
-  TFR_REQUIRE(input == 0 || input == 1);
-  int v = input;
-  std::size_t r = 0;
-  for (;;) {
-    const std::int64_t decided =
-        decide_.at(static_cast<std::size_t>(bit)).read();
-    if (decided != -1) return static_cast<int>(decided);
-    const std::size_t lane = cell(bit, r);
-    (v == 0 ? x0_ : x1_).at(lane).write(1);
-    const int proposal = y_.at(lane).read();
-    if (proposal == -1) y_.at(lane).write(v);
-    const int conflicting = (v == 0 ? x1_ : x0_).at(lane).read();
-    if (conflicting == 0) {
-      decide_.at(static_cast<std::size_t>(bit))
-          .write(static_cast<std::int64_t>(v));
-    } else {
-      spin_for(config_.delta);
-      v = y_.at(lane).read();
-      TFR_INVARIANT(v != -1);
-      r += 1;
-    }
-  }
 }
 
 std::int64_t RtMultiConsensus::propose(std::int64_t value) {
@@ -55,7 +26,7 @@ std::int64_t RtMultiConsensus::propose(std::int64_t value) {
     (b == 0 ? witness0_ : witness1_)
         .at(static_cast<std::size_t>(k))
         .write(candidate);
-    const int decided = propose_bit(k, b);
+    const int decided = binary_.propose(static_cast<std::size_t>(k), b).value;
     if (decided != b) {
       const std::int64_t adopted = (decided == 0 ? witness0_ : witness1_)
                                        .at(static_cast<std::size_t>(k))
@@ -73,9 +44,9 @@ std::int64_t RtMultiConsensus::propose(std::int64_t value) {
 std::int64_t RtMultiConsensus::decided() const {
   std::int64_t value = 0;
   for (int k = 0; k < config_.bits; ++k) {
-    const std::int64_t d = decide_.peek(static_cast<std::size_t>(k), -1);
+    const int d = binary_.decided(static_cast<std::size_t>(k));
     if (d == -1) return -1;
-    value |= d << k;
+    value |= std::int64_t{d} << k;
   }
   return value;
 }
@@ -131,25 +102,14 @@ std::int64_t RtSetConsensus::propose(int id, std::int64_t value) {
   return groups_[static_cast<std::size_t>(id % k_)]->propose(value);
 }
 
-namespace {
-constexpr std::size_t kMaxGenerations = 1 << 18;
-}  // namespace
-
 RtLongLivedTestAndSet::RtLongLivedTestAndSet(Nanos delta, int n)
     : delta_(delta), n_(n), won_generation_(static_cast<std::size_t>(n), -1) {
   TFR_REQUIRE(n >= 1);
-  elections_.reserve(kMaxGenerations);  // stable spine for lock-free readers
 }
 
 RtElection& RtLongLivedTestAndSet::election(std::size_t generation) {
-  TFR_REQUIRE(generation < kMaxGenerations);
-  if (generation < elections_ready_.load(std::memory_order_acquire))
-    return *elections_[generation];
-  std::lock_guard<std::mutex> guard(grow_mutex_);
-  while (elections_.size() <= generation)
-    elections_.push_back(std::make_unique<RtElection>(delta_));
-  elections_ready_.store(elections_.size(), std::memory_order_release);
-  return *elections_[generation];
+  return elections_.get(
+      generation, [this] { return std::make_unique<RtElection>(delta_); });
 }
 
 int RtLongLivedTestAndSet::test_and_set(int id) {
@@ -190,23 +150,13 @@ RtUniversal::RtUniversal(
     pp->applied_seq.assign(static_cast<std::size_t>(n), 0);
     per_process_.push_back(std::move(pp));
   }
-  // Reserve the slot spine once so readers can index the vector without
-  // racing a reallocation (slots_ready_ guards the initialized prefix).
-  slots_.reserve(kMaxUniversalSlots);
 }
 
 RtMultiConsensus& RtUniversal::slot(std::size_t index) {
-  TFR_REQUIRE(index < kMaxUniversalSlots);
-  if (index < slots_ready_.load(std::memory_order_acquire))
-    return *slots_[index];
-  std::lock_guard<std::mutex> guard(grow_mutex_);
-  while (slots_.size() <= index) {
-    slots_.push_back(std::make_unique<RtMultiConsensus>(
-        RtMultiConsensus::Config{.delta = delta_,
-                                 .bits = derived::OpCodec::kBits}));
-  }
-  slots_ready_.store(slots_.size(), std::memory_order_release);
-  return *slots_[index];
+  return slots_.get(index, [this] {
+    return std::make_unique<RtMultiConsensus>(RtMultiConsensus::Config{
+        .delta = delta_, .bits = derived::OpCodec::kBits});
+  });
 }
 
 std::int64_t RtUniversal::invoke(int id, int opcode, int arg) {

@@ -4,11 +4,12 @@
 // for the algorithms and correctness arguments):
 //
 //   RtMultiConsensus — bitwise prefix-agreement over per-bit instances of
-//                      Algorithm 1.  The per-bit binary protocol is
-//                      inlined over shared register arrays (indexed by
-//                      round*bits + bit) to keep one instance's footprint
-//                      a few KB, so the universal construction can afford
-//                      one instance per log slot.
+//                      Algorithm 1: one BasicRtConsensus lane per bit,
+//                      all lanes in one set of register arrays (indexed
+//                      by round*bits + bit).  A full instance per bit
+//                      would be far too large; interleaving keeps one
+//                      multi-valued instance a few KB, so the universal
+//                      construction can afford one per log slot.
 //   RtElection       — propose own id, decision is the leader.
 //   RtTestAndSet     — winner of the election reads 0, the rest read 1.
 //   RtUniversal      — consensus-log state-machine replication with
@@ -23,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "tfr/core/consensus_rt.hpp"
@@ -52,24 +52,10 @@ class RtMultiConsensus {
   std::int64_t decided() const;
 
  private:
-  static constexpr std::size_t kSeg = 256;
-  static constexpr std::size_t kMaxSeg = 64;
-  using Array = RegisterArray<int, kSeg, kMaxSeg>;
   using Array64 = RegisterArray<std::int64_t, 64, 16>;
 
-  std::size_t cell(int bit, std::size_t round) const {
-    return round * static_cast<std::size_t>(config_.bits) +
-           static_cast<std::size_t>(bit);
-  }
-
-  /// One-bit Algorithm 1 over the shared arrays (bit selects the lane).
-  int propose_bit(int bit, int input);
-
   Config config_;
-  Array x0_;
-  Array x1_;
-  Array y_;
-  Array64 decide_;    ///< per-bit decide registers
+  BasicRtConsensus<StdAtomics, 256, 64> binary_;  ///< one lane per bit
   Array64 witness0_;  ///< per-bit witnesses for bit value 0
   Array64 witness1_;
 };
@@ -146,9 +132,7 @@ class RtLongLivedTestAndSet {
   /// Releases the bit; caller must be the current generation's winner.
   void reset(int id);
 
-  std::size_t generations() const {
-    return elections_ready_.load(std::memory_order_acquire);
-  }
+  std::size_t generations() const { return elections_.published(); }
 
  private:
   RtElection& election(std::size_t generation);
@@ -157,10 +141,7 @@ class RtLongLivedTestAndSet {
   int n_;
   AtomicRegister<int> generation_{0};
   std::vector<int> won_generation_;  ///< [id]: written only by thread id
-
-  mutable std::mutex grow_mutex_;
-  std::atomic<std::size_t> elections_ready_{0};
-  std::vector<std::unique_ptr<RtElection>> elections_;
+  PinnedSlots<RtElection, (1 << 18)> elections_;  ///< [generation]
 };
 
 /// Wait-free linearizable universal object (see universal_sim.hpp for the
@@ -191,14 +172,7 @@ class RtUniversal {
   std::function<std::unique_ptr<derived::Replica>()> make_replica_;
   std::unique_ptr<AtomicRegister<std::int64_t>[]> announce_;
   std::vector<std::unique_ptr<PerProcess>> per_process_;
-
-  // The slot vector grows on demand.  Publication is lock-free for readers
-  // (an atomic count guards the initialized prefix); growth itself is
-  // serialized by a mutex — growth is bookkeeping of the *implementation
-  // of the experiment harness*, not a shared register of the algorithm.
-  mutable std::mutex grow_mutex_;
-  std::atomic<std::size_t> slots_ready_{0};
-  std::vector<std::unique_ptr<RtMultiConsensus>> slots_;
+  PinnedSlots<RtMultiConsensus, 65536> slots_;  ///< [log index]
 };
 
 }  // namespace tfr::rt

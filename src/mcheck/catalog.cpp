@@ -65,10 +65,10 @@ std::vector<NamedCheck> catalog() {
       {"abd-n3-minority-down",
        "ABD register, n=3, one server crashed: reads/writes linearize", kSim,
        make_abd_scenario({}), abd, false},
-      // The production lock code (mutex_rt.hpp, atomic_mutex.hpp)
-      // instantiated with ShimAtomics and driven through the interposition
-      // seam: the checker explores the source production runs, not a
-      // transcription.
+      // The production rt code (mutex_rt.hpp, atomic_mutex.hpp,
+      // consensus_rt.hpp) instantiated with ShimAtomics and driven through
+      // the interposition seam: the checker explores the source production
+      // runs, not a transcription.
       {"fischer-rt-n2",
        "real-thread Fischer through the shim: one timing failure breaks ME",
        kRt, make_rt_mutex_scenario({.algorithm = RtMutex::kFischer}),
@@ -81,6 +81,9 @@ std::vector<NamedCheck> catalog() {
        "futex-class AtomicMutex through the shim: wait/notify protocol", kRt,
        make_rt_mutex_scenario({.algorithm = RtMutex::kAtomicLock}),
        base_config(), false},
+      {"consensus-rt-n2",
+       "real-thread Algorithm 1 through the shim, n=2, inputs {0,1}", kRt,
+       make_rt_consensus_scenario(), base_config(), false},
       // The lost wakeup is a pure ordering race; no timing failures are
       // needed to find it.
       {"eventcount-torn-epoch",

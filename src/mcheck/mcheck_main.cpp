@@ -14,14 +14,17 @@
 // --max-executions N, --jobs N (forked parallel exploration — verdicts,
 // stats and counterexamples are identical to --jobs 1).  Exit status 0
 // iff every executed check matched its expectation (violation found / not
-// found, counterexample replays byte-identically), 2 on a usage error.
+// found, counterexample replays byte-identically), 2 on a usage error
+// (including a number that does not parse in full).
 // Multi-check runs end with a per-check wall-time summary table.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -170,6 +173,14 @@ bool replay_saved(const mcheck::NamedCheck& check, const std::string& path) {
   return replayed.identical;
 }
 
+/// Parses all of `text` as a base-10 unsigned number; false on anything
+/// else (a sign, trailing characters, overflow, an empty string).
+bool parse_number(const char* text, std::uint64_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
+}
+
 int usage() {
   std::printf(
       "usage: tfr_mcheck [--check NAME]... [--all] [--rt]\n"
@@ -222,12 +233,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--naive") {
       naive = true;
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_number(argv[++i], seed)) return usage();
     } else if (arg == "--max-executions" && i + 1 < argc) {
-      max_executions = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_number(argv[++i], max_executions)) return usage();
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-      if (jobs < 1) return usage();
+      std::uint64_t n = 0;
+      if (!parse_number(argv[++i], n) || n < 1 ||
+          n > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+        return usage();
+      jobs = static_cast<int>(n);
     } else if (arg == "--save" && i + 1 < argc) {
       save_path = argv[++i];
     } else if (arg == "--replay" && i + 1 < argc) {

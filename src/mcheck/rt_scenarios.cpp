@@ -1,14 +1,17 @@
 #include "tfr/mcheck/rt_scenarios.hpp"
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 
+#include "tfr/core/consensus_rt.hpp"
 #include "tfr/mutex/lock_adapters.hpp"
 #include "tfr/mutex/mutex_rt.hpp"
 #include "tfr/registers/atomic_register.hpp"
 #include "tfr/rt/atomic_mutex.hpp"
 #include "tfr/rt/shim/rt_exec.hpp"
 #include "tfr/rt/shim/shim_atomic.hpp"
+#include "tfr/sim/monitor.hpp"
 
 namespace tfr::mcheck {
 
@@ -84,6 +87,49 @@ CheckScenario make_rt_mutex_scenario(RtMutexScenarioConfig config) {
                        sim = &simulation](const RunInfo&) -> CheckOutcome {
       if (holder->exec->me_violations() > 0)
         return {false, "mutual exclusion violated (CS occupancy overlap)"};
+      return check_parked_at_idle(*sim);
+    };
+    return harness;
+  };
+}
+
+CheckScenario make_rt_consensus_scenario() {
+  return [](sim::Simulation& simulation) -> RunHarness {
+    // Four-cell segments: the first touch of every fourth round publishes
+    // a segment from inside a shim thread.
+    using Consensus = rt::BasicRtConsensus<ShimAtomics, 4, 16>;
+    struct Algo {
+      Consensus consensus{{.delta = 2}};
+      sim::DecisionMonitor monitor;
+      std::uint64_t rounds[2] = {0, 0};  ///< [thread]; 0 = not decided
+    };
+    auto holder = std::make_shared<Holder<Algo>>();
+    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
+    holder->algo = std::make_shared<Algo>();
+    holder->algo->monitor.throw_on_violation(false);
+    for (int id = 0; id < 2; ++id) {  // thread `id` proposes `id`
+      holder->algo->monitor.set_input(id, id);
+      holder->exec->spawn_thread([algo = holder->algo, sim = &simulation, id] {
+        const Consensus::Result result = algo->consensus.propose(id);
+        algo->monitor.on_decide(id, result.value, sim->now());
+        algo->rounds[id] = result.rounds;
+      });
+    }
+
+    RunHarness harness;
+    harness.verdict = [holder,
+                       sim = &simulation](const RunInfo& info) -> CheckOutcome {
+      const Algo& algo = *holder->algo;
+      if (!algo.monitor.agreement_holds())
+        return {false, "consensus agreement violated"};
+      if (!algo.monitor.validity_holds())
+        return {false, "consensus validity violated"};
+      if (info.failures_injected == 0 && !info.truncated) {
+        for (const std::uint64_t rounds : algo.rounds) {
+          if (rounds == 0 || rounds > 2)
+            return {false, "failure-free execution did not decide by round 1"};
+        }
+      }
       return check_parked_at_idle(*sim);
     };
     return harness;

@@ -1,11 +1,11 @@
-// mcheck scenarios that drive the *real* rt lock code — the same
-// templated sources production compiles against std::atomic — through the
-// atomic interposition seam (rt/shim/).  Each factory builds an
-// RtExecution inside the fresh per-execution Simulation, spawns the
-// algorithm bodies as shim threads, and wires the verdict to the
-// execution's critical-section occupancy probe plus a parked-at-idle
-// deadlock check (a run that goes idle with threads still parked in
-// atomic::wait is exactly a lost wakeup).
+// mcheck scenarios that drive the *real* rt code — the same templated
+// sources production compiles against std::atomic — through the atomic
+// interposition seam (rt/shim/).  Each factory builds an RtExecution
+// inside the fresh per-execution Simulation, spawns the algorithm bodies
+// as shim threads, and wires the verdict to the algorithm's safety
+// property (critical-section occupancy, consensus agreement and validity)
+// plus a parked-at-idle deadlock check (a run that goes idle with threads
+// still parked in atomic::wait is exactly a lost wakeup).
 
 #pragma once
 
@@ -32,6 +32,14 @@ struct RtMutexScenarioConfig {
 };
 
 CheckScenario make_rt_mutex_scenario(RtMutexScenarioConfig config = {});
+
+/// Algorithm 1 on the real-thread source (BasicRtConsensus with a small
+/// segment geometry, Δ = 2): two shim threads proposing 0 and 1.  Safety —
+/// agreement and validity, via sim::DecisionMonitor — is checked on every
+/// execution.  Liveness mirrors consensus-n2's round cutoff: an execution
+/// with no injected failure that runs to completion must see every thread
+/// decide by round 1 (0-based).
+CheckScenario make_rt_consensus_scenario();
 
 /// The EventCount publication protocol in isolation: one producer sets a
 /// register and bumps the epoch, one consumer awaits the register via

@@ -6,7 +6,8 @@ Checks:
      `--check fischer-n2 --replay F` replays it byte-identically (exit 0);
   2. `--replay F` with no check selected, or with two, is a usage error
      (exit 2), and so is `--save F` with two checks;
-  3. an unknown `--check` name is a usage error (exit 2).
+  3. an unknown `--check` name is a usage error (exit 2), and so is a
+     numeric option whose value does not parse in full.
 
 Run by ctest as McheckCliSaveReplay; also runnable by hand:
     python3 tests/mcheck_cli_test.py --mcheck build/src/tfr_mcheck
@@ -54,8 +55,12 @@ def main():
                "--replay", saved)
         expect(2, "--rt", "--save", str(Path(tmp) / "rt.run"))
 
-    # 3. Unknown names are rejected before anything runs.
+    # 3. Unknown names and malformed numbers are rejected before anything
+    # runs.
     expect(2, "--check", "no-such-check")
+    expect(2, "--check", "eventcount-torn-epoch", "--seed", "banana")
+    expect(2, "--check", "eventcount-torn-epoch", "--max-executions", "5x")
+    expect(2, "--check", "eventcount-torn-epoch", "--jobs", "2x")
 
     if failures:
         for failure in failures:

@@ -464,7 +464,7 @@ TEST(McheckCatalog, NamesAreUniqueAndEachEntryHasOneGroup) {
     }
   }
   EXPECT_EQ(sim, 5u);
-  EXPECT_EQ(rt, 5u);
+  EXPECT_EQ(rt, 6u);
   EXPECT_EQ(sim + rt, checks.size());
   EXPECT_EQ(mcheck::catalog_entry("fischer-rt-n2").group,
             mcheck::CheckGroup::kRt);
@@ -478,6 +478,7 @@ TEST(McheckCatalog, CheapEntriesReachTheirVerdicts) {
       {"consensus-n2", 3410},
       {"abd-n3-minority-down", 48},
       {"atomic-lock-rt-n2", 139},
+      {"consensus-rt-n2", 3440},
       {"eventcount-torn-epoch", 2},
       {"eventcount-write-then-advance", 4},
   };
