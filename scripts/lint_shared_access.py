@@ -15,7 +15,8 @@ failure injection between events) carry an `untimed-ok:` annotation.
 
 Real-thread scope (src/rt, src/mutex/mutex_rt.*, src/mutex/
 lock_adapters.hpp, src/core/consensus_rt.*, src/derived/derived_rt.*,
-src/registers/atomic_register.hpp and register_array.hpp, plus the
+src/registers/atomic_register.hpp and register_array.hpp and the
+src/common/pinned_slots.hpp table under them, plus the
 adaptive controllers in src/adapt/ that rt threads may share): rt
 algorithm code is templated over the Atomics policy
 (src/rt/atomics_policy.hpp) so the same source runs on std::atomic in
@@ -57,6 +58,7 @@ RT_FILES = (
     "src/derived/derived_rt.cpp",
     "src/registers/atomic_register.hpp",
     "src/registers/register_array.hpp",
+    "src/common/pinned_slots.hpp",
     # Adaptive controllers may be shared by rt threads (AtomicAimd), so
     # the whole directory — including the per-channel estimator and the
     # timeliness graph — carries the same annotation discipline.

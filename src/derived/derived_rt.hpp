@@ -141,7 +141,7 @@ class RtLongLivedTestAndSet {
   int n_;
   AtomicRegister<int> generation_{0};
   std::vector<int> won_generation_;  ///< [id]: written only by thread id
-  PinnedSlots<RtElection, (1 << 18)> elections_;  ///< [generation]
+  PinnedSlots<RtElection> elections_{1 << 18};  ///< [generation]
 };
 
 /// Wait-free linearizable universal object (see universal_sim.hpp for the
@@ -172,7 +172,7 @@ class RtUniversal {
   std::function<std::unique_ptr<derived::Replica>()> make_replica_;
   std::unique_ptr<AtomicRegister<std::int64_t>[]> announce_;
   std::vector<std::unique_ptr<PerProcess>> per_process_;
-  PinnedSlots<RtMultiConsensus, 65536> slots_;  ///< [log index]
+  PinnedSlots<RtMultiConsensus> slots_{65536};  ///< [log index]
 };
 
 }  // namespace tfr::rt

@@ -23,11 +23,11 @@ using ShimAtomics = rtshim::ShimAtomics;
 // the verdict closure solely owns a Holder, so the RtExecution is
 // destroyed exactly when the explorer drops the harness, on the
 // simulation thread.  Thread bodies own only the algorithm state (plus a
-// raw RtExecution pointer for the occupancy probe); the pool workers drop
-// those references before reporting kJobDone, and ~RtExecution
-// synchronizes with kJobDone for every slot, so by the time the Holder
+// raw RtExecution pointer for the occupancy probe); each fiber drops
+// those references before reporting kJobDone, and ~RtExecution resumes
+// every unfinished fiber until kJobDone, so by the time the Holder
 // releases its own algorithm-state reference it is always the last one —
-// the shared state never gets destroyed from a pool thread.
+// the shared state is never destroyed on a fiber's stack.
 template <class Algo>
 struct Holder {
   std::shared_ptr<Algo> algo;                 // destroyed second

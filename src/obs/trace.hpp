@@ -1,7 +1,9 @@
 // Structured event tracing for the simulator and the real-thread harnesses.
 //
 // A TraceSink is a fixed-capacity, lock-free-append log of small POD
-// events.  Emitters (Simulation awaiters, FailureInjector, monitors,
+// events, stored in fixed-size chunks that are allocated on first touch
+// (a sink costs memory for the events it holds, not for its capacity).
+// Emitters (Simulation awaiters, FailureInjector, monitors,
 // rt::FaultInjector) push one Event per semantically meaningful instant:
 // register accesses with their linearization span, delay(d) spans,
 // injected timing failures, round transitions, decide / CS transitions,
@@ -12,7 +14,8 @@
 //
 // Variable-length data (register names, injection-point names) lives in an
 // interned string table so Event stays fixed-size; the hot append path is a
-// single fetch_add plus a struct store and is safe from multiple threads.
+// single fetch_add, a chunk lookup and a struct store, and is safe from
+// multiple threads.
 // Interning takes a mutex and is meant for setup / cold paths.
 //
 // This header is deliberately self-contained (no sim/ includes) so that
@@ -25,10 +28,13 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "tfr/common/pinned_slots.hpp"
 
 namespace tfr::obs {
 
@@ -86,44 +92,57 @@ struct Event {
   friend bool operator==(const Event&, const Event&) = default;
 };
 
-/// Fixed-capacity append-only event log.  append() is lock-free and
-/// wait-free (one fetch_add); events past the capacity are counted in
-/// dropped() rather than silently lost.
+/// Fixed-capacity append-only event log.  append() is lock-free (one
+/// fetch_add, plus a CAS to publish a chunk on its first event); events
+/// past the capacity are counted in dropped() rather than silently lost.
 class TraceSink {
  public:
+  /// Events per lazily allocated chunk.
+  static constexpr std::size_t kChunkEvents = 1024;
+
   explicit TraceSink(std::size_t capacity = 1 << 20)
-      : events_(capacity) {}
+      : capacity_(capacity),
+        chunks_((capacity + kChunkEvents - 1) / kChunkEvents) {}
 
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Appends one event.  Safe from any thread; never allocates.
+  /// Appends one event.  Safe from any thread; allocates only the first
+  /// event of each chunk.
   void append(const Event& event) noexcept {
     const std::size_t index = count_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= events_.size()) {
+    if (index >= capacity_) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    events_[index] = event;
+    store(index, event);
   }
 
   /// Number of events recorded (excludes dropped ones).
   std::size_t size() const {
     const std::size_t n = count_.load(std::memory_order_acquire);
-    return n < events_.size() ? n : events_.size();
+    return n < capacity_ ? n : capacity_;
   }
 
   std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  const Event& operator[](std::size_t i) const { return events_[i]; }
+  /// Event `i` (< size()).  A slot whose append is still in flight on
+  /// another thread reads as a default Event.
+  const Event& operator[](std::size_t i) const {
+    static const Event kEmpty{};
+    const Chunk* chunk = chunks_.find(i / kChunkEvents);
+    return chunk != nullptr ? chunk->events[i % kChunkEvents] : kEmpty;
+  }
 
   /// Copy of the recorded prefix, in append order.
   std::vector<Event> snapshot() const {
-    return std::vector<Event>(events_.begin(),
-                              events_.begin() +
-                                  static_cast<std::ptrdiff_t>(size()));
+    const std::size_t n = size();
+    std::vector<Event> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) out.push_back((*this)[i]);
+    return out;
   }
 
   /// Interns `name`, returning its stable nonzero label id.  Takes a lock;
@@ -171,7 +190,7 @@ class TraceSink {
     };
     const std::size_t n = size();
     for (std::size_t i = 0; i < n; ++i) {
-      const Event& e = events_[i];
+      const Event& e = (*this)[i];
       mix64(static_cast<std::uint64_t>(e.time));
       mix64(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.pid)));
       mix_byte(static_cast<std::uint8_t>(e.kind));
@@ -187,7 +206,20 @@ class TraceSink {
   }
 
  private:
-  std::vector<Event> events_;
+  struct Chunk {
+    Event events[kChunkEvents];
+  };
+
+  /// Out of line, so the append inlined at every emit site stays as small
+  /// as a bounds check and a call.
+  [[gnu::noinline]] void store(std::size_t index, const Event& event) {
+    Chunk& chunk = chunks_.get(index / kChunkEvents,
+                               [] { return std::make_unique<Chunk>(); });
+    chunk.events[index % kChunkEvents] = event;
+  }
+
+  std::size_t capacity_;
+  PinnedSlots<Chunk> chunks_;
   std::atomic<std::size_t> count_{0};
   std::atomic<std::uint64_t> dropped_{0};
 

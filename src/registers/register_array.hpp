@@ -1,77 +1,22 @@
-// Lazily grown real-thread structures: PinnedSlots and RegisterArray.
+// RegisterArray: a lazily grown array of rt registers.
 //
 // Algorithm 1 uses infinite arrays x[1..∞], y[1..∞]; rounds advance only
 // under timing failures, so most executions touch a handful of cells but
-// nothing bounds the index a priori.  The derived objects grow the same
-// way: one election per long-lived test-and-set generation, one consensus
-// instance per universal-construction log slot (derived/derived_rt.hpp).
-//
-// All of them sit on PinnedSlots: a heap-allocated spine of N atomic
-// pointers, each slot built on first touch and published with a CAS; the
-// loser of a publication race deletes its copy and takes the winner's.
-// Readers never block, and a published object is pinned (never moves), so
-// references handed out stay valid for the table's lifetime.  The spine is
-// a raw atomic on purpose: lazy allocation is bookkeeping of the
-// implementation, not a register of the algorithm.
-//
-// RegisterArray is a PinnedSlots of register segments.  Its cells come
-// from the Atomics policy (rt/atomics_policy.hpp), like every rt register:
-// StdAtomics in production, ShimAtomics under mcheck.
+// nothing bounds the index a priori.  RegisterArray is a PinnedSlots
+// (common/pinned_slots.hpp) of register segments, each built on first
+// touch and never moved.  Its cells come from the Atomics policy
+// (rt/atomics_policy.hpp), like every rt register: StdAtomics in
+// production, ShimAtomics under mcheck.
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 
-#include "tfr/common/contracts.hpp"
+#include "tfr/common/pinned_slots.hpp"
 #include "tfr/registers/atomic_register.hpp"
 
 namespace tfr::rt {
-
-template <class T, std::size_t N>
-class PinnedSlots {
- public:
-  // Value-initialized, so every slot starts null.
-  // raw-atomic-ok: lazy-allocation spine
-  PinnedSlots() : spine_(std::make_unique<std::atomic<T*>[]>(N)) {}
-
-  PinnedSlots(const PinnedSlots&) = delete;
-  PinnedSlots& operator=(const PinnedSlots&) = delete;
-
-  ~PinnedSlots() {
-    for (std::size_t i = 0; i < N; ++i) delete spine_[i].load();
-  }
-
-  /// The object in slot `index`, built by `make()` (which returns a
-  /// std::unique_ptr<T>) on first touch.  Thread-safe.
-  template <class Make>
-  T& get(std::size_t index, Make&& make) {
-    TFR_REQUIRE(index < N);
-    if (T* published = spine_[index].load()) return *published;
-    std::unique_ptr<T> fresh = make();
-    T* expected = nullptr;
-    if (spine_[index].compare_exchange_strong(expected, fresh.get())) {
-      published_.fetch_add(1);
-      return *fresh.release();
-    }
-    return *expected;  // lost the race; `fresh` self-destroys
-  }
-
-  /// The object in slot `index`, or nullptr if nobody built it yet.
-  const T* find(std::size_t index) const {
-    TFR_REQUIRE(index < N);
-    return spine_[index].load();
-  }
-
-  /// Number of slots built so far.
-  std::size_t published() const { return published_.load(); }
-
- private:
-  // raw-atomic-ok: lazy-allocation spine
-  std::unique_ptr<std::atomic<T*>[]> spine_;
-  std::atomic<std::size_t> published_{0};  // raw-atomic-ok: accounting
-};
 
 /// SegmentSize/MaxSegments trade footprint against capacity: the spine
 /// costs MaxSegments pointers up front, segments SegmentSize registers
@@ -123,7 +68,7 @@ class RegisterArray {
   };
 
   T initial_;
-  PinnedSlots<Segment, MaxSegments> segments_;
+  PinnedSlots<Segment> segments_{MaxSegments};
 };
 
 }  // namespace tfr::rt

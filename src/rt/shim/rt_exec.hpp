@@ -9,21 +9,24 @@
 // into a sim::Simulation that the mcheck explorer drives.
 //
 // Mechanics (the CDSChecker/relacy switch-to-master design, adapted to the
-// coroutine simulator): each logical thread is a pooled OS thread running
-// the unmodified algorithm body, paired with a sim::Process "pump"
-// coroutine inside the simulation.  The handshake alternates strictly —
+// coroutine simulator): each logical thread is a fiber — its own pooled
+// stack and a ucontext_t — that runs the unmodified algorithm body on the
+// explorer's own OS thread, paired with a sim::Process "pump" coroutine
+// inside the simulation.  Control alternates strictly, one swapcontext
+// per hand-off —
 //
-//   thread:  runs until its next shared-memory op, posts it, blocks
-//   pump:    co_awaits the op into the simulation; when the explorer
-//            linearizes it (choosing its interleaving and duration), the
-//            pump applies it to the shared register, replies, and blocks
-//            until the thread posts its next op
+//   fiber:  runs until its next shared-memory op, posts it, switches back
+//   pump:   co_awaits the op into the simulation; when the explorer
+//           linearizes it (choosing its interleaving and duration), the
+//           pump applies it to the shared register, records the reply,
+//           and switches into the fiber until it posts its next op
 //
 // so at every simulation suspension point every algorithm thread is
-// parked: algorithm code is single-threaded in effect (no data races, no
-// TSan noise, deterministic replay) and the explorer owns every
+// suspended: algorithm code is single-threaded in fact (one OS thread, no
+// data races, deterministic replay) and the explorer owns every
 // interleaving and timing decision, including stretching any access past
-// Δ — the paper's timing failures — via its cost menu.
+// Δ — the paper's timing failures — via its cost menu.  The pool holds
+// only memory, so a forked mcheck worker inherits a usable copy.
 //
 // atomic::wait(old) is modeled as a scheduled read that atomically
 // check-and-parks at its linearization instant iff the value still equals
@@ -37,16 +40,15 @@
 // rt code"): seq_cst-only modeling, notify_one explored as notify_all
 // (legal under the spurious-wakeup license of std::atomic::wait, but a
 // single-wakeup loss needs the torn-epoch style scenarios to surface).
+// One limit comes from the fibers: the C++ runtime keeps its exception
+// state per OS thread, so every fiber shares it, and a shim thread must
+// not post an op from inside a `catch` handler.
 
 #pragma once
 
-#include <condition_variable>
 #include <coroutine>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "tfr/sim/simulation.hpp"
@@ -54,9 +56,10 @@
 namespace tfr::rtshim {
 
 /// Thrown through algorithm code when an execution is torn down mid-run
-/// (the explorer prunes most runs early); the thread-pool worker catches
-/// it and returns the OS thread to the pool.  Algorithm code instantiated
-/// with ShimAtomics must therefore not be noexcept (Atomics::kNoexceptOps).
+/// (the explorer prunes most runs early); the fiber's entry catches it
+/// and reports the job done, so its stack returns to the pool.  Algorithm
+/// code instantiated with ShimAtomics must therefore not be noexcept
+/// (Atomics::kNoexceptOps).
 struct AbortExecution {};
 
 class RtExecution;
@@ -69,7 +72,7 @@ struct WaitList {
 };
 
 /// One shared-memory operation posted by an algorithm thread.  Lives on
-/// the posting thread's stack; the thread stays blocked until the reply,
+/// the posting fiber's stack; the fiber stays suspended until the reply,
 /// so the pump may dereference it freely.
 struct Op {
   enum class Kind { kLoad, kStore, kRmw, kWait, kDelay, kNotify, kMark };
@@ -103,42 +106,19 @@ struct Op {
   virtual WaitList* wait_list() { return nullptr; }
 };
 
-/// The handshake cell pairing one pooled OS thread with one pump.
-struct Slot {
-  enum class Phase {
-    kIdle,      ///< pool thread parked, no job
-    kArmed,     ///< job assigned, waiting for the pump's kStart
-    kRunning,   ///< algorithm code executing between ops
-    kOpPosted,  ///< op posted; thread blocked awaiting the reply
-    kReplied,   ///< pump answered; thread about to resume
-    kJobDone,   ///< job returned (or unwound)
-  };
+/// One pooled fiber (stack + contexts) paired with one pump; defined in
+/// rt_exec.cpp.
+struct Slot;
 
-  std::mutex m;
-  std::condition_variable cv;
-  Phase phase = Phase::kIdle;
-  bool exit = false;   ///< pool shutdown (never set in practice; pool leaks)
-  bool abort = false;  ///< reply means: unwind via AbortExecution
-  std::function<void()> job;
-  Op* op = nullptr;
-  std::exception_ptr error;
-  std::thread thread;
-
-  void arm(std::function<void()> body);
-  void start_job();  // pump side, at kStart
-  Op* await_op();    // pump side; blocks; nullptr = job finished
-  void reply(bool abort_run);
-  void finish_teardown();  // RtExecution dtor side
-};
-
-/// The slot of the shim thread the calling OS thread animates, or nullptr
-/// outside the seam (scenario construction, verdict closures) — shim
-/// cells then fall back to untimed peek/poke, which is exactly right for
-/// initialization and post-run inspection.
+/// The slot of the fiber now running, or nullptr outside the seam
+/// (scenario construction, verdict closures) — shim cells then fall back
+/// to untimed peek/poke, which is exactly right for initialization and
+/// post-run inspection.
 Slot* current_slot();
 
-/// Posts `op` to this thread's pump and blocks until it is applied.
-/// Throws AbortExecution when the execution is being torn down.
+/// Posts `op` to this fiber's pump and switches back to it; returns once
+/// the op is applied.  Throws AbortExecution when the execution is being
+/// torn down.
 void post_op(Op& op);
 
 }  // namespace detail
@@ -146,16 +126,16 @@ void post_op(Op& op);
 /// One model-checked execution of a set of real-thread bodies.  Construct
 /// inside a CheckScenario with the run's Simulation, spawn_thread() each
 /// algorithm body, and let the explorer run the simulation; destroy (or
-/// let the harness closure drop it) to unwind any still-blocked threads
+/// let the harness closure drop it) to unwind any still-suspended fibers
 /// back into the pool.  Exactly one instance may be live per process at a
 /// time (current() is how shim cells find their simulation).
 ///
 /// Ownership contract: the RtExecution must be owned by the harness
 /// (verdict closure) alone — never by the thread-body closures — so its
 /// destructor runs on the simulation thread when the explorer drops the
-/// harness.  Bodies may share-own the algorithm state they touch: the
-/// pool worker drops a body's closure before reporting its slot done, and
-/// ~RtExecution synchronizes with that report for every slot, so an
+/// harness.  Bodies may share-own the algorithm state they touch: a
+/// fiber's entry drops the body's closure before reporting its slot done,
+/// and ~RtExecution resumes every unfinished fiber until that report, so an
 /// algorithm-state reference held alongside the RtExecution is always the
 /// last to drop (see mcheck/rt_scenarios.cpp for the Holder idiom).
 class RtExecution {

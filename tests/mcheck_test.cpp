@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,6 +19,8 @@
 #include "tfr/mcheck/rt_scenarios.hpp"
 #include "tfr/mcheck/scenarios.hpp"
 #include "tfr/obs/replay.hpp"
+#include "tfr/rt/shim/rt_exec.hpp"
+#include "tfr/rt/shim/shim_atomic.hpp"
 
 namespace tfr {
 namespace {
@@ -299,10 +304,10 @@ TEST(McheckParallel, MaxExecutionsReportsIncomplete) {
 
 // --- real-thread scenarios through the atomic interposition seam --------
 //
-// Suite naming is deliberate: McheckRt* suites fork worker processes
-// (jobs > 1) and stay outside the TSan ctest regex; RtShim* suites run
-// everything in-process so the TSan job exercises the pool-thread/pump
-// handshake itself.
+// Suite naming is deliberate: McheckRt* suites include the forked
+// (jobs > 1) explorations, RtShim* suites run everything in-process; the
+// TSan job runs both, so it watches the fiber/pump hand-off and its
+// sanitizer annotations directly and across fork.
 
 mcheck::ExploreConfig rt_eventcount_config() {
   mcheck::ExploreConfig config = small_config();
@@ -377,10 +382,10 @@ TEST(McheckRtEventCount, TornEpochLosesWakeupCorrectOrderDoesNot) {
   EXPECT_TRUE(clean.stats.complete);
 }
 
-// Forked-jobs parity for the rt scenarios: pooled shim threads must not
-// leak state across the fork (the pool is pid-keyed; children rebuild it
-// lazily), so jobs {2, 4} reproduce the serial verdict, stats and
-// counterexample bytes exactly.
+// Forked-jobs parity for the rt scenarios: a forked worker inherits a
+// copy of the fiber pool (stacks and contexts, no threads) and must not
+// carry state across the fork, so jobs {2, 4} reproduce the serial
+// verdict, stats and counterexample bytes exactly.
 TEST(McheckRtParallel, FischerRtViolationMatchesSerial) {
   expect_parallel_equivalent(mcheck::make_rt_mutex_scenario({}),
                              small_config());
@@ -400,8 +405,8 @@ TEST(McheckRtParallel, EventCountTornMatchesSerial) {
 
 // In-process determinism (TSan-covered): two serial explorations of the
 // same rt scenario are bit-for-bit the same — stats and counterexample —
-// proving the OS-thread/pump handshake injects no nondeterminism (and,
-// under TSan, no data races).
+// proving the fiber/pump hand-off injects no nondeterminism (and, under
+// TSan, no data races).
 TEST(RtShimDeterminism, RepeatedEventCountRunsAreIdentical) {
   const mcheck::CheckScenario scenario = mcheck::make_rt_eventcount_scenario({});
   const mcheck::ExploreConfig config = rt_eventcount_config();
@@ -415,7 +420,7 @@ TEST(RtShimDeterminism, RepeatedEventCountRunsAreIdentical) {
 }
 
 // In-process replay (TSan-covered): the recorded lost-wakeup run drives
-// the pooled threads down the identical path, byte-for-byte.
+// the pooled fibers down the identical path, byte-for-byte.
 TEST(RtShimReplay, EventCountCounterexampleReplaysByteIdentical) {
   const mcheck::CheckScenario scenario = mcheck::make_rt_eventcount_scenario({});
   const mcheck::ExploreConfig config = rt_eventcount_config();
@@ -445,6 +450,136 @@ TEST(RtShimWaitNotify, AtomicLockVerifiesCleanInProcess) {
   EXPECT_FALSE(result.violation) << result.what;
   EXPECT_TRUE(result.stats.complete);
   EXPECT_GT(result.stats.executions, 10u);
+}
+
+// A two-thread rt scenario over one shared shim cell: thread `id` runs
+// body(cell, id).  Same ownership shape as mcheck/rt_scenarios.cpp: the
+// verdict closure alone owns the RtExecution, bodies share the state.
+template <class Body>
+mcheck::CheckScenario two_thread_scenario(Body body) {
+  return [body](sim::Simulation& simulation) -> mcheck::RunHarness {
+    struct State {
+      std::unique_ptr<rtshim::atomic<int>> cell;
+    };
+    struct Holder {
+      std::shared_ptr<State> state;                // destroyed second
+      std::unique_ptr<rtshim::RtExecution> exec;  // destroyed first
+    };
+    auto holder = std::make_shared<Holder>();
+    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
+    holder->state = std::make_shared<State>();
+    holder->state->cell = std::make_unique<rtshim::atomic<int>>(0);
+    for (int id = 0; id < 2; ++id) {
+      holder->exec->spawn_thread(
+          [state = holder->state, body, id] { body(*state->cell, id); });
+    }
+    mcheck::RunHarness harness;
+    harness.verdict = [holder](const mcheck::RunInfo&) {
+      return mcheck::CheckOutcome{};
+    };
+    return harness;
+  };
+}
+
+mcheck::ExploreConfig fiber_config() {
+  mcheck::ExploreConfig config = small_config();
+  config.max_failures = 0;
+  config.slow_budget = 0;
+  return config;
+}
+
+// Shim threads are fibers on the explorer's own OS thread: no body ever
+// runs on another thread.
+TEST(RtShimFiber, BodiesRunOnTheExplorersThread) {
+  const std::thread::id explorer = std::this_thread::get_id();
+  auto bodies = std::make_shared<int>(0);
+  auto elsewhere = std::make_shared<int>(0);
+  const mcheck::CheckResult result = mcheck::check(
+      two_thread_scenario([=](rtshim::atomic<int>& cell, int id) {
+        ++*bodies;
+        if (std::this_thread::get_id() != explorer) ++*elsewhere;
+        cell.store(id);
+        if (std::this_thread::get_id() != explorer) ++*elsewhere;
+        (void)cell.load();
+      }),
+      fiber_config());
+  EXPECT_FALSE(result.violation) << result.what;
+  EXPECT_TRUE(result.stats.complete);
+  EXPECT_GT(*bodies, 2);
+  EXPECT_EQ(*elsewhere, 0);
+}
+
+// An exception a body throws (a bug in the code under test) leaves its
+// fiber, surfaces out of the run, and leaves the pool usable: the next
+// exploration on the same pooled slots verifies normally.
+TEST(RtShimFiber, BodyExceptionSurfacesAndPoolStaysUsable) {
+  const mcheck::CheckScenario throwing =
+      two_thread_scenario([](rtshim::atomic<int>& cell, int id) {
+        (void)cell.load();
+        if (id == 0) throw std::runtime_error("body failed");
+        cell.store(1);
+      });
+  for (int round = 0; round < 2; ++round) {
+    try {
+      (void)mcheck::check(throwing, fiber_config());
+      ADD_FAILURE() << "the body's exception did not surface";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "body failed");
+    }
+  }
+
+  mcheck::RtMutexScenarioConfig scenario;
+  scenario.algorithm = mcheck::RtMutexScenarioConfig::Algorithm::kAtomicLock;
+  const mcheck::CheckResult result =
+      mcheck::check(mcheck::make_rt_mutex_scenario(scenario), small_config());
+  EXPECT_FALSE(result.violation) << result.what;
+  EXPECT_TRUE(result.stats.complete);
+}
+
+// Runs cut at a small step bound leave fibers suspended mid-body; teardown
+// must unwind each one and drop its closure.  A sentinel owned by each
+// body closure counts the drops: exactly one per spawned thread.
+TEST(RtShimFiber, TruncatedRunsDropEveryClosureOnce) {
+  struct Sentinel {
+    explicit Sentinel(std::shared_ptr<int> counter)
+        : dropped(std::move(counter)) {}
+    ~Sentinel() { ++*dropped; }
+    std::shared_ptr<int> dropped;
+  };
+  auto spawned = std::make_shared<int>(0);
+  auto dropped = std::make_shared<int>(0);
+  const mcheck::CheckScenario scenario =
+      [spawned, dropped](sim::Simulation& simulation) -> mcheck::RunHarness {
+    struct Holder {
+      std::shared_ptr<rtshim::atomic<int>> cell;
+      std::unique_ptr<rtshim::RtExecution> exec;
+    };
+    auto holder = std::make_shared<Holder>();
+    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
+    holder->cell = std::make_shared<rtshim::atomic<int>>(0);
+    for (int id = 0; id < 2; ++id) {
+      ++*spawned;
+      holder->exec->spawn_thread(
+          [cell = holder->cell,
+           sentinel = std::make_shared<Sentinel>(dropped)] {
+            for (int i = 0; i < 50; ++i) cell->store(cell->load() + 1);
+          });
+    }
+    mcheck::RunHarness harness;
+    harness.verdict = [holder](const mcheck::RunInfo&) {
+      return mcheck::CheckOutcome{};
+    };
+    return harness;
+  };
+  mcheck::ExploreConfig config = fiber_config();
+  config.max_steps = 6;
+  std::uint64_t truncated = 0;
+  for (int round = 0; round < 20; ++round) {
+    truncated += mcheck::check(scenario, config).stats.truncated;
+  }
+  EXPECT_GT(truncated, 20u);
+  EXPECT_GT(*spawned, 40);
+  EXPECT_EQ(*dropped, *spawned);
 }
 
 // --- the named check catalog ---------------------------------------------

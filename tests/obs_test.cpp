@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tfr/core/consensus_sim.hpp"
@@ -105,6 +106,46 @@ TEST(TraceSink, AppendInternAndOverflow) {
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(sink.dropped(), 0u);
   EXPECT_EQ(sink.label(a), "x");  // labels survive clear()
+}
+
+// Four real threads append across several chunk boundaries (and into a
+// final partial chunk): every event lands exactly once, none is dropped,
+// and the first append past the capacity is counted, not stored.
+TEST(ObsTraceSink, ConcurrentAppendsAcrossChunksRecordEachEventOnce) {
+  constexpr int kThreads = 4;
+  constexpr std::size_t kPerThread = 3 * obs::TraceSink::kChunkEvents + 17;
+  obs::TraceSink sink(kThreads * kPerThread);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sink, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        sink.append({0, t, obs::EventKind::kCounter,
+                     static_cast<std::int64_t>(i), 0, 0});
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  ASSERT_EQ(sink.size(), kThreads * kPerThread);
+  EXPECT_EQ(sink.dropped(), 0u);
+  std::vector<std::vector<int>> seen(kThreads, std::vector<int>(kPerThread));
+  for (const obs::Event& e : sink.snapshot()) {
+    ASSERT_GE(e.pid, 0);
+    ASSERT_LT(e.pid, kThreads);
+    ASSERT_GE(e.a, 0);
+    ASSERT_LT(static_cast<std::size_t>(e.a), kPerThread);
+    ++seen[static_cast<std::size_t>(e.pid)][static_cast<std::size_t>(e.a)];
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      ASSERT_EQ(seen[static_cast<std::size_t>(t)][i], 1)
+          << "thread " << t << " event " << i;
+    }
+  }
+
+  sink.append({});
+  EXPECT_EQ(sink.size(), kThreads * kPerThread);
+  EXPECT_EQ(sink.dropped(), 1u);
 }
 
 TEST(TraceExport, BinaryRoundTrip) {
