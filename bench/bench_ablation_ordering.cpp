@@ -22,7 +22,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
-#include "tfr/core/consensus_ablation_sim.hpp"
+#include "tfr/core/consensus_sim.hpp"
 #include "tfr/sim/timing.hpp"
 
 using namespace tfr;

@@ -4,7 +4,8 @@
 Two scopes, one idea: every shared access in algorithm code must go
 through the layer that makes it visible to the model checker.
 
-Simulator scope (src/core, src/mutex, src/derived, minus *_rt.* files):
+Simulator scope (src/core, src/mutex, src/derived, src/msg, src/baseline,
+minus *_rt.* files):
 algorithm implementations must touch shared registers only through the
 timed awaiters (`co_await env.read(...)` / `co_await env.write(...)`).
 The untimed escape hatches of sim::Register — peek()/poke() and
@@ -43,7 +44,13 @@ import re
 import sys
 from pathlib import Path
 
-SIM_DIRS = ("src/core", "src/mutex", "src/derived")
+SIM_DIRS = (
+    "src/core",
+    "src/mutex",
+    "src/derived",
+    "src/msg",
+    "src/baseline",
+)
 SIM_PATTERN = re.compile(r"\.peek\(|\.poke\(|load_linearized|store_linearized")
 SIM_ANNOTATION = "untimed-ok"
 

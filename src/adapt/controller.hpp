@@ -221,11 +221,6 @@ class TimelinessEstimator final : public DeltaController {
     /// expiries grow the boost multiplicatively into the ceiling while
     /// every *measured* round trip stays small.
     double boost_cap = 0.0;
-    /// Evicts a channel once it has seen no observation for more than
-    /// evict_after_windows * window observations overall (0 = never
-    /// evict).  Long service runs fold thousands of transient pids into
-    /// channels; without eviction the channel map grows without bound.
-    std::size_t evict_after_windows = 0;
   };
 
   explicit TimelinessEstimator(Config config);
@@ -251,7 +246,6 @@ class TimelinessEstimator final : public DeltaController {
 
   std::size_t channels() const { return channels_.size(); }
   Duration boost() const { return boost_; }
-  std::uint64_t evictions() const { return evictions_; }
 
  protected:
   void handle_failure() override;
@@ -263,13 +257,11 @@ class TimelinessEstimator final : public DeltaController {
     std::vector<Duration> samples;  ///< ring buffer of the last N durations
     std::size_t next = 0;           ///< ring cursor
     Duration quantile = 0;          ///< cached windowed quantile
-    std::uint64_t last_seen = 0;    ///< observation count at last sample
   };
 
   Duration clamped(Duration value) const;
   Duration quantile_of(const Channel& ring) const;
   void recompute();
-  void evict_idle();
 
   Config config_;
   std::map<int, Channel> channels_;
@@ -279,8 +271,6 @@ class TimelinessEstimator final : public DeltaController {
   Duration boost_;      ///< failure-driven lower bound on the estimate
   Duration estimate_;   ///< cached: recomputed on every signal/observation
   int clean_run_ = 0;
-  std::uint64_t observed_ = 0;   ///< total observations (eviction clock)
-  std::uint64_t evictions_ = 0;
 };
 
 /// An externally pinned estimate: no adaptation, signals only counted.

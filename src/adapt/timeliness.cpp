@@ -74,38 +74,9 @@ void TimelinessEstimator::recompute() {
   estimate_ = clamped(std::max(margined, boost_));
 }
 
-void TimelinessEstimator::evict_idle() {
-  const std::uint64_t horizon =
-      static_cast<std::uint64_t>(config_.evict_after_windows) * config_.window;
-  bool lost_worst = false;
-  for (auto it = channels_.begin(); it != channels_.end();) {
-    if (observed_ - it->second.last_seen > horizon) {
-      lost_worst = lost_worst || it->second.quantile == worst_;
-      it = channels_.erase(it);
-      ++evictions_;
-    } else {
-      ++it;
-    }
-  }
-  if (lost_worst) {
-    worst_ = 0;
-    for (const auto& [id, other] : channels_) {
-      (void)id;
-      worst_ = std::max(worst_, other.quantile);
-    }
-    recompute();
-  }
-}
-
 void TimelinessEstimator::handle_observation(int channel, Duration observed) {
   TFR_REQUIRE(observed >= 0);
-  ++observed_;
-  // Amortised eviction sweep: once per window of observations, so the
-  // per-observation cost stays O(log channels) even with eviction on.
-  if (config_.evict_after_windows > 0 && observed_ % config_.window == 0)
-    evict_idle();
   Channel& ring = channels_[channel];
-  ring.last_seen = observed_;
   if (ring.samples.size() < config_.window) {
     ring.samples.push_back(observed);
   } else {

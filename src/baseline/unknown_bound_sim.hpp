@@ -36,7 +36,9 @@ class SimUnknownBoundConsensus {
 
   sim::DecisionMonitor& monitor() { return monitor_; }
   std::size_t max_round() const { return max_round_; }
-  int decided_value() const { return decide_.peek(); }
+  int decided_value() const {
+    return decide_.peek();  // untimed-ok: post-run observer view
+  }
   /// The delay a process waits in round r.
   sim::Duration round_delay(std::size_t r) const;
 

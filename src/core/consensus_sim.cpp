@@ -1,92 +1,26 @@
 #include "tfr/core/consensus_sim.hpp"
 
-#include <algorithm>
-
 #include "tfr/common/contracts.hpp"
 
 namespace tfr::core {
 
 SimConsensus::SimConsensus(sim::RegisterSpace& space, sim::Duration delta,
                            std::size_t max_rounds)
-    : delta_(delta),
-      max_rounds_(max_rounds),
+    : RoundLoop(delta, max_rounds),
       x0_(space, 0, "x0"),
       x1_(space, 0, "x1"),
       y_(space, sim::kBot, "y"),
       decide_(space, sim::kBot, "decide") {
-  TFR_REQUIRE(delta >= 1);
-  if (max_rounds_ > 0) {
+  if (max_rounds > 0) {
     // Finitely many registers, allocated up front (§2.1 remark).
-    x0_.at(max_rounds_ - 1);
-    x1_.at(max_rounds_ - 1);
-    y_.at(max_rounds_ - 1);
+    x0_.at(max_rounds - 1);
+    x1_.at(max_rounds - 1);
+    y_.at(max_rounds - 1);
   }
 }
 
 sim::Register<int>& SimConsensus::flag(int value, std::size_t round) {
   return value == 0 ? x0_.at(round) : x1_.at(round);
-}
-
-sim::Task<int> SimConsensus::propose(sim::Env env, int input) {
-  TFR_REQUIRE(input == 0 || input == 1);
-  int v = input;
-  std::size_t r = 0;
-  std::uint64_t delays = 0;
-  for (;;) {
-    // Line 1: while decide = ⊥.  (Also the step that completes the fast
-    // path: after line 4 wrote `decide`, this read observes it.)
-    const int decided = co_await env.read(decide_);
-    if (decided != sim::kBot) {
-      decision_rounds_.emplace_back(env.pid(), r);
-      // Adaptive signal: a failure-free instance costs at most one delay
-      // per process (round 0 resolves mixed inputs, round 1 decides), so
-      // staying within that budget is a clean instance under the current
-      // estimate.  Extra delays already reported on_failure() below.
-      if (controller_ != nullptr && delays <= 1) controller_->on_clean();
-      co_return decided;  // line 9: decide(decide)
-    }
-    // Bounded-register mode: the environment promised failures shorter
-    // than what max_rounds covers; running out of rounds means it lied.
-    TFR_REQUIRE(max_rounds_ == 0 || r < max_rounds_);
-    max_round_ = std::max(max_round_, r);
-    env.sim().emit({env.now(), env.pid(), obs::EventKind::kRound,
-                    static_cast<std::int64_t>(r), 0, 0});
-    // Line 2: flag our preference for round r.
-    co_await env.write(flag(v, r), 1);
-    // Line 3: publish v as the round's proposal if none is there yet.
-    const int proposal = co_await env.read(y_.at(r));
-    if (proposal == sim::kBot) co_await env.write(y_.at(r), v);
-    // Line 4: if nobody flagged the conflicting preference, decide.
-    const int conflicting = co_await env.read(flag(1 - v, r));
-    if (conflicting == 0) {
-      co_await env.write(decide_, v);
-      // Loop back to line 1, which reads the decision (7 steps total on
-      // the contention-free path, no delay executed).
-    } else {
-      // Lines 5-7: wait out the bound, adopt the round's proposal, retry.
-      // With a controller the bound is the live estimate; a delay beyond
-      // round 0 means the previous round's adoption failed to converge —
-      // the instance-level symptom of a timing failure.
-      ++delays;
-      if (controller_ != nullptr) {
-        if (r >= 1) controller_->on_failure();
-        co_await env.delay(controller_->current());
-      } else {
-        co_await env.delay(delta_);
-      }
-      v = co_await env.read(y_.at(r));
-      // y[r] ≠ ⊥ here: we reached line 5 because x[r, v̄] = 1, and every
-      // process writes y[r] (or saw it written) at line 3 before flagging
-      // could be observed — in particular this process executed line 3.
-      TFR_INVARIANT(v != sim::kBot);
-      r += 1;
-    }
-  }
-}
-
-sim::Process SimConsensus::participant(sim::Env env, int input) {
-  const int decided = co_await propose(env, input);
-  monitor_.on_decide(env.pid(), decided, env.now());
 }
 
 void SimConsensus::fault_reset_flag(int value, std::size_t round) {
@@ -103,14 +37,6 @@ void SimConsensus::fault_overwrite_proposal(std::size_t round, int v) {
 
 void SimConsensus::fault_reset_decide() {
   decide_.poke(sim::kBot);  // untimed-ok: memory-failure injection
-}
-
-std::size_t SimConsensus::decision_round(sim::Pid pid) const {
-  for (const auto& [p, r] : decision_rounds_) {
-    if (p == pid) return r;
-  }
-  TFR_REQUIRE(!"process has not decided");
-  return 0;
 }
 
 ConsensusOutcome run_consensus(const std::vector<int>& inputs,
@@ -146,6 +72,39 @@ ConsensusOutcome run_consensus(const std::vector<int>& inputs,
   }
   outcome.max_round = consensus.max_round();
   outcome.registers_allocated = simulation.space().allocated();
+  return outcome;
+}
+
+AblationOutcome run_ablation(AblationVariant variant,
+                             const std::vector<int>& inputs,
+                             sim::Duration delta,
+                             std::unique_ptr<sim::TimingModel> timing,
+                             std::uint64_t seed, sim::Time limit) {
+  TFR_REQUIRE(!inputs.empty());
+  sim::Simulation simulation(std::move(timing), {.seed = seed});
+  SimConsensus consensus(simulation.space(), delta);
+  consensus.monitor().throw_on_violation(false);  // ablations count failures
+
+  using Participant = sim::Process (SimConsensus::*)(sim::Env, int);
+  const Participant participant =
+      variant == AblationVariant::kYFirst
+          ? &SimConsensus::participant<AblationVariant::kYFirst>
+      : variant == AblationVariant::kNoDelay
+          ? &SimConsensus::participant<AblationVariant::kNoDelay>
+          : &SimConsensus::participant<AblationVariant::kFaithful>;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    consensus.monitor().set_input(static_cast<sim::Pid>(i), inputs[i]);
+    simulation.spawn(
+        [&consensus, participant, input = inputs[i]](sim::Env env) {
+          return (consensus.*participant)(env, input);
+        });
+  }
+  simulation.run(limit);
+
+  AblationOutcome outcome;
+  outcome.all_decided = consensus.monitor().all_decided(inputs.size());
+  outcome.agreement_violations = consensus.monitor().agreement_violations();
+  outcome.max_round = consensus.max_round();
   return outcome;
 }
 

@@ -1,16 +1,7 @@
 // Algorithm 1 of the paper: binary consensus resilient to timing failures,
-// using atomic registers only — simulator edition.
-//
-// Round structure (per process p with preference v in round r):
-//   1  while decide = ⊥ do
-//   2     x[r, v] := 1
-//   3     if y[r] = ⊥ then y[r] := v fi
-//   4     if x[r, v̄] = 0 then decide := v
-//   5     else delay(Δ)
-//   6          v := y[r]
-//   7          r := r + 1 fi
-//   8  od
-//   9  decide(decide)
+// using atomic registers only — simulator edition.  The round loop itself
+// (lines 1-9) lives in core/round_loop.hpp; this class places its
+// registers in a sim::RegisterSpace.
 //
 // Guarantees (Theorems 2.1–2.4): safety (validity, agreement) holds under
 // arbitrary timing behaviour; without timing failures every process decides
@@ -28,8 +19,7 @@
 #include <memory>
 #include <vector>
 
-#include "tfr/adapt/controller.hpp"
-#include "tfr/sim/monitor.hpp"
+#include "tfr/core/round_loop.hpp"
 #include "tfr/sim/register.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/task.hpp"
@@ -38,7 +28,7 @@
 namespace tfr::core {
 
 /// One instance of the time-resilient binary consensus object.
-class SimConsensus {
+class SimConsensus : public RoundLoop {
  public:
   /// Registers are allocated inside `space`; `delta` is the bound used by
   /// the algorithm's delay statements (use a value smaller than the timing
@@ -55,36 +45,24 @@ class SimConsensus {
   SimConsensus(sim::RegisterSpace& space, sim::Duration delta,
                std::size_t max_rounds = 0);
 
-  SimConsensus(const SimConsensus&) = delete;
-  SimConsensus& operator=(const SimConsensus&) = delete;
-
   /// Composable core: propose `input` (0 or 1), suspend until decided,
   /// co_return the decision.  Usable as a building block from any process
-  /// coroutine (the derived objects are built on this).
-  sim::Task<int> propose(sim::Env env, int input);
+  /// coroutine (the derived objects are built on this).  A non-faithful
+  /// `V` runs an E13 ablation instead (experiments and negative tests
+  /// only).
+  template <AblationVariant V = AblationVariant::kFaithful>
+  sim::Task<int> propose(sim::Env env, int input) {
+    return run<V>(env, Registers{{}, this}, input);
+  }
 
   /// Convenience: a full process that registers its input with the
   /// monitor, proposes, and reports its decision.
-  sim::Process participant(sim::Env env, int input);
-
-  sim::DecisionMonitor& monitor() { return monitor_; }
-  sim::Duration delta() const { return delta_; }
-
-  /// Attaches an adaptive optimistic(Δ) controller (null = the static
-  /// `delta` from construction).  Line 5's delay then waits for
-  /// controller->current(), a delay in round >= 1 is reported as a
-  /// timing-failure signal (failure-free mixed-input instances need at
-  /// most the round-0 delay), and an instance that decided with at most
-  /// one delay reports clean.  Purely advisory: agreement and validity
-  /// hold for ANY estimate (Theorem 2.1's proof never uses the bound).
-  void set_delta_controller(adapt::DeltaController* controller) {
-    controller_ = controller;
+  template <AblationVariant V = AblationVariant::kFaithful>
+  sim::Process participant(sim::Env env, int input) {
+    const int decided = co_await propose<V>(env, input);
+    monitor().on_decide(env.pid(), decided, env.now());
   }
 
-  /// Highest round index any process has entered so far (0-based).
-  std::size_t max_round() const { return max_round_; }
-  /// Round in which `pid` decided; requires that it decided.
-  std::size_t decision_round(sim::Pid pid) const;
   /// Number of per-round register triples allocated so far (x0, x1, y).
   std::size_t rounds_allocated() const { return y_.size(); }
   /// Untimed view of the decide register (kBot while undecided).
@@ -107,18 +85,24 @@ class SimConsensus {
   void fault_reset_decide();
 
  private:
+  /// The round loop's register seam: cells of this instance's arrays.
+  struct Registers : SimAccess {
+    SimConsensus* self;
+    sim::Register<int>& decide() const { return self->decide_; }
+    sim::Register<int>& flag(std::size_t r, int v) const {
+      return self->flag(v, r);
+    }
+    sim::Register<int>& proposal(std::size_t r) const {
+      return self->y_.at(r);
+    }
+  };
+
   sim::Register<int>& flag(int value, std::size_t round);
 
-  sim::Duration delta_;
-  adapt::DeltaController* controller_ = nullptr;
-  std::size_t max_rounds_;      ///< 0 = unbounded (the paper's default)
   sim::RegisterArray<int> x0_;  ///< x[·, 0]
   sim::RegisterArray<int> x1_;  ///< x[·, 1]
   sim::RegisterArray<int> y_;   ///< y[·] over {⊥, 0, 1}
   sim::Register<int> decide_;   ///< {⊥, 0, 1}
-  sim::DecisionMonitor monitor_;
-  std::size_t max_round_ = 0;
-  std::vector<std::pair<sim::Pid, std::size_t>> decision_rounds_;
 };
 
 /// Aggregate outcome of a scripted consensus run (tests and benches).
@@ -145,5 +129,21 @@ ConsensusOutcome run_consensus(const std::vector<int>& inputs,
                                std::uint64_t seed = 1,
                                sim::Time limit = sim::kTimeNever,
                                obs::TraceSink* sink = nullptr);
+
+/// E13: runs `variant` participants (the round loop with one design
+/// element ablated, see core/round_loop.hpp) on the given timing and
+/// reports safety and round statistics with violations *counted*, not
+/// thrown.  For the experiment harness and negative tests only.
+struct AblationOutcome {
+  bool all_decided = false;
+  std::uint64_t agreement_violations = 0;
+  std::size_t max_round = 0;
+};
+
+AblationOutcome run_ablation(AblationVariant variant,
+                             const std::vector<int>& inputs,
+                             sim::Duration delta,
+                             std::unique_ptr<sim::TimingModel> timing,
+                             std::uint64_t seed, sim::Time limit);
 
 }  // namespace tfr::core

@@ -15,37 +15,6 @@ SimMultiConsensus::SimMultiConsensus(sim::RegisterSpace& space,
     bit_.push_back(std::make_unique<core::SimConsensus>(space, delta));
 }
 
-sim::RegisterArray<std::int64_t>& SimMultiConsensus::witness(int bit_value) {
-  return bit_value == 0 ? witness0_ : witness1_;
-}
-
-sim::Task<std::int64_t> SimMultiConsensus::propose(sim::Env env,
-                                                   std::int64_t value) {
-  TFR_REQUIRE(value >= 0);
-  TFR_REQUIRE(bits_ >= 62 || value < (std::int64_t{1} << bits_));
-  std::int64_t candidate = value;
-  for (int k = 0; k < bits_; ++k) {
-    const int b = static_cast<int>((candidate >> k) & 1);
-    // Publish the full candidate before proposing its bit: if bit b wins,
-    // some witness with that bit (and the agreed prefix) exists.
-    co_await env.write(witness(b).at(static_cast<std::size_t>(k)), candidate);
-    const int decided =
-        co_await bit_[static_cast<std::size_t>(k)]->propose(env, b);
-    if (decided != b) {
-      const std::int64_t adopted = co_await env.read(
-          witness(decided).at(static_cast<std::size_t>(k)));
-      TFR_INVARIANT(adopted >= 0);
-      // The adopted witness agrees with our candidate on bits 0..k-1 (both
-      // match the agreed prefix) and carries the winning bit at k.
-      TFR_INVARIANT(((adopted ^ candidate) & ((std::int64_t{1} << k) - 1)) ==
-                    0);
-      TFR_INVARIANT(((adopted >> k) & 1) == decided);
-      candidate = adopted;
-    }
-  }
-  co_return candidate;
-}
-
 std::int64_t SimMultiConsensus::decided_value() const {
   std::int64_t value = 0;
   for (int k = 0; k < bits_; ++k) {

@@ -1,56 +1,22 @@
 #include "tfr/msg/consensus_msg.hpp"
 
-#include <algorithm>
-
 #include "tfr/common/contracts.hpp"
 
 namespace tfr::msg {
 
 MsgConsensus::MsgConsensus(Network& net, int n, sim::Duration delta,
                            int reg_base, RetryPolicy policy)
-    : net_(&net), n_(n), delta_(delta), reg_base_(reg_base),
+    : RoundLoop(delta), net_(&net), n_(n), reg_base_(reg_base),
       policy_(policy) {
   TFR_REQUIRE(n >= 1);
-  TFR_REQUIRE(delta >= 1);
   TFR_REQUIRE(reg_base >= 0);
   TFR_REQUIRE(net.endpoints() >= 2 * n);
-}
-
-sim::Task<int> MsgConsensus::propose(sim::Env env, AbdClient& client,
-                                     int input) {
-  TFR_REQUIRE(input == 0 || input == 1);
-  int v = input;
-  std::size_t r = 0;
-  for (;;) {
-    // Line 1: while decide = ⊥.
-    const std::int64_t decided = co_await client.read(env, reg_decide());
-    if (decided != 0) co_return static_cast<int>(decided - 1);
-    max_round_ = std::max(max_round_, r);
-    // Line 2: flag our preference for round r.
-    co_await client.write(env, reg_flag(r, v), 1);
-    // Line 3: publish the round proposal if absent.
-    const std::int64_t proposal = co_await client.read(env, reg_y(r));
-    if (proposal == 0) co_await client.write(env, reg_y(r), v + 1);
-    // Line 4: decide if the conflicting flag is down.
-    const std::int64_t conflicting =
-        co_await client.read(env, reg_flag(r, 1 - v));
-    if (conflicting == 0) {
-      co_await client.write(env, reg_decide(), v + 1);
-    } else {
-      // Lines 5-7: wait out the bound, adopt the proposal, next round.
-      co_await env.delay(delta_);
-      const std::int64_t adopted = co_await client.read(env, reg_y(r));
-      TFR_INVARIANT(adopted != 0);
-      v = static_cast<int>(adopted - 1);
-      r += 1;
-    }
-  }
 }
 
 sim::Process MsgConsensus::participant(sim::Env env, int node, int input) {
   AbdClient client(*net_, node, n_, policy_);
   const int decided = co_await propose(env, client, input);
-  monitor_.on_decide(node, decided, env.now());
+  monitor().on_decide(node, decided, env.now());
 }
 
 }  // namespace tfr::msg

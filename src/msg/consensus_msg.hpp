@@ -8,25 +8,70 @@
 // assumed bound.  Composing the two yields message-passing consensus that
 // is safe under arbitrary message delays and decides once delays respect
 // the bound — the message-passing analogue of the paper's headline, and a
-// cousin of the partially-synchronous protocols of [19, 21].
+// cousin of the partially-synchronous protocols of [19, 21].  The round
+// loop is core/round_loop.hpp's, the one the simulator runs; only the
+// register seam differs.
 //
-// Logical register layout (all defaults are 0):
-//   reg 0:        decide   (0 = ⊥, else v + 1)
-//   reg 3r+1..3:  x[r,0], x[r,1] (flags, 0/1), y[r] (0 = ⊥, else v + 1)
+// Logical register layout (ABD registers all start at 0, so a value v of
+// a register whose initial value is `initial` is stored as v - initial):
+//   reg base:          decide   (initial ⊥: 0 = ⊥, else v + 1)
+//   reg base+3r+1..3:  x[r,0], x[r,1] (flags, 0/1), y[r] (0 = ⊥, else v + 1)
 //
 // The assumed bound `delta` here should cover one ABD operation (four
 // message one-way delays): exceeding it is exactly a timing failure.
 
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 
+#include "tfr/core/round_loop.hpp"
 #include "tfr/msg/abd.hpp"
-#include "tfr/sim/monitor.hpp"
 
 namespace tfr::msg {
 
-class MsgConsensus {
+/// A logical ABD register holding values stored as `v - initial`, so the
+/// register reads `initial` until its first write.
+struct AbdCell {
+  int id;
+  std::int64_t initial;
+};
+
+/// Register access over ABD: each access is the AbdClient's operation,
+/// read back through the cell's encoding.
+class AbdAccess {
+ public:
+  explicit AbdAccess(AbdClient& client) : client_(&client) {}
+
+  /// The client's read task, resumed with the decoded value.
+  struct Read {
+    sim::Task<std::int64_t> op;
+    std::int64_t initial;
+
+    bool await_ready() const noexcept {
+      return op.operator co_await().await_ready();
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      return op.operator co_await().await_suspend(h);
+    }
+    std::int64_t await_resume() {
+      return op.operator co_await().await_resume() + initial;
+    }
+  };
+
+  Read read(sim::Env env, AbdCell cell) const {
+    return {client_->read(env, cell.id), cell.initial};
+  }
+  sim::Task<void> write(sim::Env env, AbdCell cell, std::int64_t value) const {
+    return client_->write(env, cell.id, value - cell.initial);
+  }
+  AbdClient& client() const { return *client_; }
+
+ private:
+  AbdClient* client_;
+};
+
+class MsgConsensus : private core::RoundLoop {
  public:
   /// `n` nodes (each contributing a client+server endpoint pair to `net`).
   /// `reg_base` offsets this instance's logical register ids so multiple
@@ -44,27 +89,30 @@ class MsgConsensus {
   sim::Process participant(sim::Env env, int node, int input);
 
   /// Composable core.
-  sim::Task<int> propose(sim::Env env, AbdClient& client, int input);
+  sim::Task<int> propose(sim::Env env, AbdClient& client, int input) {
+    return run(env, Registers{AbdAccess(client), reg_base_}, input);
+  }
 
-  sim::DecisionMonitor& monitor() { return monitor_; }
-  std::size_t max_round() const { return max_round_; }
+  using RoundLoop::max_round;
+  using RoundLoop::monitor;
 
  private:
-  int reg_decide() const { return reg_base_; }
-  int reg_flag(std::size_t r, int v) const {
-    return reg_base_ + static_cast<int>(3 * r) + 1 + v;
-  }
-  int reg_y(std::size_t r) const {
-    return reg_base_ + static_cast<int>(3 * r) + 3;
-  }
+  /// The round loop's register seam: this instance's ids, via `client`.
+  struct Registers : AbdAccess {
+    int base;
+    AbdCell decide() const { return {base, sim::kBot}; }
+    AbdCell flag(std::size_t r, int v) const {
+      return {base + static_cast<int>(3 * r) + 1 + v, 0};
+    }
+    AbdCell proposal(std::size_t r) const {
+      return {base + static_cast<int>(3 * r) + 3, sim::kBot};
+    }
+  };
 
   Network* net_;
   int n_;
-  sim::Duration delta_;
   int reg_base_;
   RetryPolicy policy_;
-  sim::DecisionMonitor monitor_;
-  std::size_t max_round_ = 0;
 };
 
 }  // namespace tfr::msg

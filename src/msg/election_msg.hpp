@@ -10,7 +10,8 @@
 // point: E16 measures them.
 //
 // MsgElection — resilient: agree on the leader id with the bitwise
-// multi-valued construction over MsgConsensus instances (one per id bit,
+// multi-valued construction (derived::agree_bitwise, the reduction
+// SimMultiConsensus runs) over MsgConsensus instances (one per id bit,
 // witnesses in ABD registers).  Safety never depends on delivery times;
 // late messages only delay the outcome.
 
@@ -20,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "tfr/derived/multivalue_sim.hpp"
 #include "tfr/msg/consensus_msg.hpp"
 
 namespace tfr::msg {
@@ -61,7 +63,10 @@ class MsgElection {
   sim::Process participant(sim::Env env, int node);
 
   /// Composable core.
-  sim::Task<int> elect(sim::Env env, AbdClient& client, int id);
+  sim::Task<int> elect(sim::Env env, AbdClient& client, int id) {
+    return derived::agree_bitwise(env, Registers{AbdAccess(client), this},
+                                  kIdBits, id);
+  }
 
   sim::DecisionMonitor& monitor() { return monitor_; }
 
@@ -70,12 +75,21 @@ class MsgElection {
   //   [0, 2*kIdBits)                      witness registers (bit, value)
   //   bit k's MsgConsensus: base 2*kIdBits + k*kRegsPerBit
   static constexpr int kRegsPerBit = 1 << 14;  // ~5400 rounds per bit
-  int witness_reg(int bit, int b) const { return 2 * bit + b; }
   int bit_base(int bit) const { return 2 * kIdBits + bit * kRegsPerBit; }
+
+  /// The reduction's seam: witnesses (bit, b) at id 2*bit+b, holding
+  /// candidate + 1 (0 = none), and the per-bit instances, via `client`.
+  struct Registers : AbdAccess {
+    MsgElection* self;
+    AbdCell witness(int bit, int b) const { return {2 * bit + b, -1}; }
+    sim::Task<int> propose(sim::Env env, int bit, int b) const {
+      return self->bits_[static_cast<std::size_t>(bit)]->propose(
+          env, client(), b);
+    }
+  };
 
   Network* net_;
   int n_;
-  sim::Duration delta_;
   RetryPolicy policy_;
   std::vector<std::unique_ptr<MsgConsensus>> bits_;
   sim::DecisionMonitor monitor_;

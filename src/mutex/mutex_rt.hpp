@@ -426,7 +426,11 @@ class BasicTfrMutexRt final : public BasicRtMutex<Atomics> {
     inner_->unlock(id);
     if (x_.read() == id + 1) {
       x_.write(0);
-      events_.advance();
+      // Every gate waiter awaits x = 0 and the first to pass rewrites x,
+      // so one wakeup suffices; waking all of them on every handoff is a
+      // thundering herd that bills oversubscribed runs a context switch
+      // per parked waiter.
+      events_.advance_one();
     }
   }
 

@@ -148,6 +148,16 @@ class BasicEventCount {
     epoch_.notify_all();
   }
 
+  /// advance() waking a single parked waiter, for an eventcount whose
+  /// waiters all await one predicate that the first of them to pass
+  /// falsifies again (the Fischer gate's x = 0): waking the rest would
+  /// only send them back to sleep.  Progress still holds — whoever
+  /// falsifies the predicate will advance again when it turns true.
+  void advance_one() noexcept(Atomics::kNoexceptOps) {
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    epoch_.notify_one();
+  }
+
   /// Blocks until the epoch differs from `seen` (wraps are harmless: any
   /// change wakes).  Returns on spurious wakeups too — callers re-check.
   void wait_changed(std::uint32_t seen) const noexcept(Atomics::kNoexceptOps) {

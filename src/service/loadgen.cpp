@@ -1,45 +1,40 @@
 #include "tfr/service/loadgen.hpp"
 
 #include <algorithm>
-#include <cmath>
+
+#include "tfr/common/contracts.hpp"
+#include "tfr/common/rng.hpp"
 
 namespace tfr::service {
 
-namespace {
-
-/// SplitMix64 — the same mixing the NetAdversary and AbdClient jitter use,
-/// so routing and retry jitter are pure functions of their inputs.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-LoadGen::LoadGen(LoadConfig config, std::vector<BoundedQueue*> queues)
-    : cfg_(config), queues_(std::move(queues)) {}
-
-int LoadGen::route(std::uint64_t session) const {
-  const std::uint64_t h = mix64(session ^ (cfg_.route_seed << 32));
-  return static_cast<int>(h % queues_.size());
-}
-
-sim::Duration LoadGen::backoff_for(std::uint64_t session, int attempt) const {
-  const msg::RetryPolicy& p = cfg_.retry;
-  double pause = static_cast<double>(p.backoff);
-  for (int i = 1; i < attempt; ++i) pause *= p.backoff_growth;
-  if (p.max_backoff > 0)
-    pause = std::min(pause, static_cast<double>(p.max_backoff));
-  auto wait = static_cast<sim::Duration>(pause);
-  if (p.jitter > 0) {
-    const std::uint64_t h =
-        mix64(session * 0x100000001b3ULL + static_cast<std::uint64_t>(attempt));
+sim::Duration retry_backoff(const msg::RetryPolicy& policy,
+                            std::uint64_t session, int attempt) {
+  TFR_REQUIRE(attempt >= 1);
+  sim::Duration wait = policy.max_backoff > 0
+                           ? std::min(policy.backoff, policy.max_backoff)
+                           : policy.backoff;
+  for (int i = 1; i < attempt; ++i)
+    wait = msg::grow_saturating(wait, policy.backoff_growth,
+                                policy.max_backoff);
+  if (policy.jitter > 0) {
+    // The same SplitMix64 the NetAdversary and AbdClient jitter use.
+    std::uint64_t state =
+        session * 0x100000001b3ULL + static_cast<std::uint64_t>(attempt);
     wait += static_cast<sim::Duration>(
-        h % static_cast<std::uint64_t>(p.jitter + 1));
+        splitmix64(state) % static_cast<std::uint64_t>(policy.jitter + 1));
   }
   return wait;
+}
+
+LoadGen::LoadGen(LoadConfig config, std::vector<BoundedQueue*> queues)
+    : cfg_(config), queues_(std::move(queues)) {
+  TFR_REQUIRE(cfg_.max_attempts >= 1);
+  TFR_REQUIRE(!queues_.empty());
+}
+
+int LoadGen::route(std::uint64_t session) const {
+  std::uint64_t state = session ^ (cfg_.route_seed << 32);
+  return static_cast<int>(splitmix64(state) % queues_.size());
 }
 
 void LoadGen::offer(sim::Env& env, Request request, int shard) {
@@ -60,7 +55,8 @@ void LoadGen::offer(sim::Env& env, Request request, int shard) {
   // Respect the server's retry-after hint, but never come back faster
   // than the client's own exponential backoff for this attempt.
   const sim::Duration pause = std::max(
-      verdict->retry_after, backoff_for(request.session, request.attempts));
+      verdict->retry_after,
+      retry_backoff(cfg_.retry, request.session, request.attempts));
   retries_.push(PendingRetry{now + pause, request, shard});
   max_retry_heap_ = std::max(max_retry_heap_, retries_.size());
 }

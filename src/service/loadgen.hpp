@@ -48,10 +48,19 @@ struct LoadConfig {
   std::uint64_t route_seed = 1;   ///< session -> shard hash seed
 };
 
+/// The client's pause before re-offering `session` after its `attempt`-th
+/// rejection (1-based): `backoff` grown by `backoff_growth` per earlier
+/// attempt and capped at `max_backoff` (saturating, as ABD's retry
+/// pauses, so any attempt count is defined), plus deterministic jitter in
+/// [0, jitter] — a pure function of (session, attempt).
+sim::Duration retry_backoff(const msg::RetryPolicy& policy,
+                            std::uint64_t session, int attempt);
+
 class LoadGen {
  public:
-  /// `queues` holds one admission queue per shard; sessions are routed by
-  /// hash(session) % queues.size().  Queues must outlive the generator.
+  /// `queues` holds one admission queue per shard (at least one);
+  /// sessions are routed by hash(session) % queues.size().  Queues must
+  /// outlive the generator.  Requires max_attempts >= 1.
   LoadGen(LoadConfig config, std::vector<BoundedQueue*> queues);
 
   /// The generator process.  Spawn with start = sim.now() once the shard
@@ -91,7 +100,6 @@ class LoadGen {
 
   void offer(sim::Env& env, Request request, int shard);
   int route(std::uint64_t session) const;
-  sim::Duration backoff_for(std::uint64_t session, int attempt) const;
   void emit_counters(sim::Env& env);
 
   LoadConfig cfg_;

@@ -224,6 +224,11 @@ TEST(TimelinessEstimatorTest, PerChannelViewIsolatesChannelsFromEachOther) {
   EXPECT_EQ(est.estimate_for(1), 60);
   EXPECT_EQ(est.current(), 60);        // the global view: the worst channel
   EXPECT_EQ(est.estimate_for(7), 60);  // cold channel inherits the global
+  // A channel that goes silent keeps its window: channels are never
+  // dropped, so the silent worst still sizes the global view.
+  for (int i = 0; i < 100; ++i) est.observe(0, 5);
+  EXPECT_EQ(est.channels(), 2u);
+  EXPECT_EQ(est.current(), 60);
 }
 
 TEST(TimelinessEstimatorTest, FailureBoostStaysOutOfPerChannelViews) {
@@ -237,30 +242,6 @@ TEST(TimelinessEstimatorTest, FailureBoostStaysOutOfPerChannelViews) {
   EXPECT_EQ(est.estimate_for(0), 10);
   EXPECT_EQ(est.estimate_for(1), 60);
   EXPECT_EQ(est.estimate_for(7), est.current());
-}
-
-TEST(TimelinessEstimatorTest, IdleChannelsAreEvictedAndTheWorstRescanned) {
-  auto config = estimator_config();
-  config.evict_after_windows = 1;  // idle > one window of observations
-  adapt::TimelinessEstimator est(config);
-  est.observe(0, 50);  // the worst channel... which then goes silent
-  for (int i = 0; i < 6; ++i) est.observe(1, 5);
-  EXPECT_EQ(est.channels(), 2u);  // still within the idle horizon
-  EXPECT_EQ(est.current(), 100);  // the stale channel still sizes the max
-  est.observe(1, 5);              // the window-boundary sweep fires
-  EXPECT_EQ(est.channels(), 1u);
-  EXPECT_EQ(est.evictions(), 1u);
-  EXPECT_EQ(est.current(), 10);  // the worst was rescanned off the evictee
-  EXPECT_EQ(est.estimate_for(0), 10);  // evicted: back to the global view
-}
-
-TEST(TimelinessEstimatorTest, EvictionIsOffByDefault) {
-  adapt::TimelinessEstimator est(estimator_config());
-  est.observe(0, 50);
-  for (int i = 0; i < 100; ++i) est.observe(1, 5);
-  EXPECT_EQ(est.channels(), 2u);
-  EXPECT_EQ(est.evictions(), 0u);
-  EXPECT_EQ(est.current(), 100);
 }
 
 // --- TimelinessGraph --------------------------------------------------------

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "tfr/common/contracts.hpp"
-#include "tfr/core/consensus_ablation_sim.hpp"
 #include "tfr/core/consensus_sim.hpp"
 #include "tfr/derived/long_lived_tas_sim.hpp"
 #include "tfr/mutex/workload_sim.hpp"

@@ -244,6 +244,46 @@ MsgConsensusRun run_msg_consensus(int n, std::vector<int> inputs,
   return result;
 }
 
+sim::Process solo_proposer(sim::Env env, MsgConsensus& consensus,
+                           AbdClient& client, int input, int& decided) {
+  const int value = co_await consensus.propose(env, client, input);
+  decided = value;
+}
+
+// The ABD counterpart of Theorem 2.1's fast path (consensus_sim_test): a
+// process alone decides its input in round 0 after the paper's 7 steps —
+// here 7 ABD operations, 4 reads and 3 writes — executing no delay(Δ).
+TEST(MsgConsensusTest, SoloProposerTakesTheSevenStepFastPath) {
+  constexpr int n = 3;
+  constexpr Duration delta = 60 * kDelta;
+  obs::TraceSink sink;
+  sim::Simulation s(make_uniform_timing(1, kDelta), {.seed = 1, .sink = &sink});
+  Network net(s.space(), 2 * n);
+  MsgConsensus consensus(net, n, delta);
+  AbdClient client(net, 0, n);
+  int decided = sim::kBot;
+  s.spawn([&](sim::Env env) {
+    return solo_proposer(env, consensus, client, 1, decided);
+  });
+  for (int i = 0; i < n; ++i)
+    s.spawn([&net, i](sim::Env env) { return abd_server(env, net, i, n); });
+  s.run(50'000'000, [&] { return decided != sim::kBot; });
+
+  EXPECT_EQ(decided, 1);
+  EXPECT_EQ(consensus.max_round(), 0u);
+  EXPECT_EQ(client.operations(), 7u);
+  EXPECT_EQ(client.fast_reads() + client.fast_read_misses(), 4u);  // reads
+  std::size_t rounds = 0, algorithm_delays = 0;
+  for (std::size_t i = 0; i < sink.size(); ++i) {
+    const obs::Event& e = sink[i];
+    if (e.kind == obs::EventKind::kRound) ++rounds;
+    // Polling for acks also delays (by poll_every); line 5 delays by Δ.
+    if (e.kind == obs::EventKind::kDelay && e.a == delta) ++algorithm_delays;
+  }
+  EXPECT_EQ(rounds, 1u);
+  EXPECT_EQ(algorithm_delays, 0u);
+}
+
 TEST(MsgConsensusTest, AgreementAndTermination) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const auto out = run_msg_consensus(3, {0, 1, 0},

@@ -163,6 +163,32 @@ TEST(ServiceLoadGen, AdmitsEverythingWhenQueueHasRoom) {
   EXPECT_EQ(queue.size(), 600u);
 }
 
+TEST(ServiceLoadGen, RetryBackoffSaturatesInsteadOfOverflowing) {
+  msg::RetryPolicy policy;
+  policy.backoff = 20;
+  policy.backoff_growth = 2.0;
+  policy.max_backoff = 0;  // uncapped: 20 * 2^79 would overflow a Duration
+  sim::Duration previous = 0;
+  for (int attempt = 1; attempt <= 80; ++attempt) {
+    const sim::Duration pause = service::retry_backoff(policy, 7, attempt);
+    EXPECT_GE(pause, 0) << "attempt " << attempt;
+    EXPECT_GE(pause, previous) << "attempt " << attempt;
+    previous = pause;
+  }
+  EXPECT_EQ(service::retry_backoff(policy, 7, 3), 80);
+  // A configured cap still bounds the pause; jitter stays within its band.
+  policy.max_backoff = 200;
+  policy.jitter = 5;
+  const sim::Duration first = service::retry_backoff(policy, 7, 1);
+  EXPECT_GE(first, 20);
+  EXPECT_LE(first, 25);
+  for (int attempt = 5; attempt <= 80; ++attempt) {
+    const sim::Duration pause = service::retry_backoff(policy, 7, attempt);
+    EXPECT_GE(pause, 200) << "attempt " << attempt;
+    EXPECT_LE(pause, 205) << "attempt " << attempt;
+  }
+}
+
 // --- End-to-end scenario ----------------------------------------------
 
 msg::RetryPolicy test_retry() {

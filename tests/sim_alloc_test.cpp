@@ -198,31 +198,5 @@ TEST(SimAllocRegression, AbdPhasesReachSteadyStatePerOperation) {
   EXPECT_LE(per_op[2], per_op[0]) << "warm-up should dominate steady state";
 }
 
-// Eviction bounds the estimator's channel map: a service folding
-// thousands of transient pids into channels must not grow it without
-// bound, and the recurring channel's history must survive the sweeps.
-TEST(SimAllocRegression, EstimatorEvictionBoundsTheChannelMap) {
-  adapt::TimelinessEstimator est({.initial = 4,
-                                  .floor = 1,
-                                  .ceiling = 1024,
-                                  .window = 8,
-                                  .quantile = 1.0,
-                                  .headroom = 2.0,
-                                  .grow_factor = 2.0,
-                                  .decay_step = 1,
-                                  .clean_threshold = 2,
-                                  .evict_after_windows = 1});
-  for (int pid = 0; pid < 10'000; ++pid) {
-    est.observe(/*channel=*/100 + pid, 5);  // transient: one sample, gone
-    est.observe(/*channel=*/0, 7);          // recurring: always fresh
-  }
-  // Horizon = 1 window = 8 observations; sweeps run every 8 observations,
-  // so at most ~2 windows of transient channels are resident at once.
-  EXPECT_LE(est.channels(), 18u);
-  EXPECT_GT(est.evictions(), 9'900u);
-  EXPECT_EQ(est.channel_quantile(0), 7);  // the recurring channel survived
-  EXPECT_EQ(est.current(), 14);
-}
-
 }  // namespace
 }  // namespace tfr
