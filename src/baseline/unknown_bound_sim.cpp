@@ -8,13 +8,11 @@ namespace tfr::baseline {
 
 SimUnknownBoundConsensus::SimUnknownBoundConsensus(
     sim::RegisterSpace& space, sim::Duration initial_estimate)
-    : initial_estimate_(initial_estimate),
+    : RoundLoop(initial_estimate),  // round 0's delay
       x0_(space, 0, "aat.x0"),
       x1_(space, 0, "aat.x1"),
       y_(space, sim::kBot, "aat.y"),
-      decide_(space, sim::kBot, "aat.decide") {
-  TFR_REQUIRE(initial_estimate >= 1);
-}
+      decide_(space, sim::kBot, "aat.decide") {}
 
 sim::Register<int>& SimUnknownBoundConsensus::flag(int value,
                                                    std::size_t round) {
@@ -24,39 +22,14 @@ sim::Register<int>& SimUnknownBoundConsensus::flag(int value,
 sim::Duration SimUnknownBoundConsensus::round_delay(std::size_t r) const {
   // Exponential back-off of the estimate; saturate rather than overflow.
   constexpr sim::Duration kCap = sim::Duration{1} << 40;
-  sim::Duration d = initial_estimate_;
+  sim::Duration d = delta();
   for (std::size_t i = 0; i < r && d < kCap; ++i) d *= 2;
   return std::min(d, kCap);
 }
 
-sim::Task<int> SimUnknownBoundConsensus::propose(sim::Env env, int input) {
-  TFR_REQUIRE(input == 0 || input == 1);
-  int v = input;
-  std::size_t r = 0;
-  for (;;) {
-    const int decided = co_await env.read(decide_);
-    if (decided != sim::kBot) co_return decided;
-    max_round_ = std::max(max_round_, r);
-    co_await env.write(flag(v, r), 1);
-    const int proposal = co_await env.read(y_.at(r));
-    if (proposal == sim::kBot) co_await env.write(y_.at(r), v);
-    const int conflicting = co_await env.read(flag(1 - v, r));
-    if (conflicting == 0) {
-      co_await env.write(decide_, v);
-    } else {
-      // The only difference from Algorithm 1: the delay uses the current
-      // estimate of the unknown bound, doubled every round.
-      co_await env.delay(round_delay(r));
-      v = co_await env.read(y_.at(r));
-      TFR_INVARIANT(v != sim::kBot);
-      r += 1;
-    }
-  }
-}
-
 sim::Process SimUnknownBoundConsensus::participant(sim::Env env, int input) {
   const int decided = co_await propose(env, input);
-  monitor_.on_decide(env.pid(), decided, env.now());
+  monitor().on_decide(env.pid(), decided, env.now());
 }
 
 UnknownBoundOutcome run_unknown_bound_consensus(

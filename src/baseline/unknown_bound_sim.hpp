@@ -8,7 +8,8 @@
 // protocol decides.  The lower bound proved in [3] says no algorithm in
 // this model can achieve c·Δ time complexity — which is exactly what the
 // paper's known-bound, timing-failure-resilient Algorithm 1 achieves.
-// Experiment E5 measures the gap.
+// Experiment E5 measures the gap.  The loop is core::RoundLoop's; the
+// register seam supplies only the doubled delay, round_delay(r).
 
 #pragma once
 
@@ -16,26 +17,28 @@
 #include <memory>
 #include <vector>
 
-#include "tfr/sim/monitor.hpp"
+#include "tfr/core/round_loop.hpp"
 #include "tfr/sim/register.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/task.hpp"
 
 namespace tfr::baseline {
 
-class SimUnknownBoundConsensus {
+class SimUnknownBoundConsensus : private core::RoundLoop {
  public:
   /// `initial_estimate` is the starting guess for the unknown bound.
   SimUnknownBoundConsensus(sim::RegisterSpace& space,
                            sim::Duration initial_estimate);
 
   /// Proposes `input` (0/1); co_returns the decision.
-  sim::Task<int> propose(sim::Env env, int input);
+  sim::Task<int> propose(sim::Env env, int input) {
+    return run(env, Registers{{}, this}, input);
+  }
 
   sim::Process participant(sim::Env env, int input);
 
-  sim::DecisionMonitor& monitor() { return monitor_; }
-  std::size_t max_round() const { return max_round_; }
+  using RoundLoop::max_round;
+  using RoundLoop::monitor;
   int decided_value() const {
     return decide_.peek();  // untimed-ok: post-run observer view
   }
@@ -43,15 +46,27 @@ class SimUnknownBoundConsensus {
   sim::Duration round_delay(std::size_t r) const;
 
  private:
+  /// The round loop's register seam, plus the estimate-doubling delay.
+  struct Registers : core::SimAccess {
+    SimUnknownBoundConsensus* self;
+    sim::Register<int>& decide() const { return self->decide_; }
+    sim::Register<int>& flag(std::size_t r, int v) const {
+      return self->flag(v, r);
+    }
+    sim::Register<int>& proposal(std::size_t r) const {
+      return self->y_.at(r);
+    }
+    sim::Duration round_delay(std::size_t r) const {
+      return self->round_delay(r);
+    }
+  };
+
   sim::Register<int>& flag(int value, std::size_t round);
 
-  sim::Duration initial_estimate_;
   sim::RegisterArray<int> x0_;
   sim::RegisterArray<int> x1_;
   sim::RegisterArray<int> y_;
   sim::Register<int> decide_;
-  sim::DecisionMonitor monitor_;
-  std::size_t max_round_ = 0;
 };
 
 /// Outcome summary mirroring core::run_consensus for comparisons.

@@ -1,6 +1,7 @@
 // Lines 1-7 of Algorithm 1, written once for every world whose processes
-// are coroutines: simulated registers (core/consensus_sim.hpp) and
-// ABD-emulated registers over message passing (msg/consensus_msg.hpp).
+// are coroutines: simulated registers (core/consensus_sim.hpp),
+// ABD-emulated registers over message passing (msg/consensus_msg.hpp) and
+// the unknown-bound baseline (baseline/unknown_bound_sim.hpp).
 //
 // Round structure (per process p with preference v in round r):
 //   1  while decide = ⊥ do
@@ -18,7 +19,10 @@
 //
 //   regs.decide(), regs.flag(r, v), regs.proposal(r)  name a cell;
 //   regs.read(env, cell), regs.write(env, cell, v)     return the access
-//                                                      as an awaitable.
+//                                                      as an awaitable;
+//   regs.round_delay(r)  (optional) line 5's delay in round r, in place
+//                        of Δ and of any controller — the baseline's
+//                        estimate·2^r.
 //
 // Values cross the seam decoded (⊥ is sim::kBot, flags are 0/1).  The sim
 // seam hands back the simulator's own timed awaiters, so the seam costs no
@@ -117,6 +121,9 @@ class RoundLoop {
   }
 
  protected:
+  /// The `delta` given at construction.
+  sim::Duration delta() const { return delta_; }
+
   /// Proposes `input` (0 or 1) through `regs`; suspends until decided and
   /// co_returns the decision.
   template <AblationVariant V = AblationVariant::kFaithful, class Registers>
@@ -171,7 +178,9 @@ class RoundLoop {
         // the instance-level symptom of a timing failure.
         if constexpr (V != AblationVariant::kNoDelay) {
           ++delays;
-          if (controller_ != nullptr) {
+          if constexpr (requires { regs.round_delay(r); }) {
+            co_await env.delay(regs.round_delay(r));
+          } else if (controller_ != nullptr) {
             if (r >= 1) controller_->on_failure();
             co_await env.delay(controller_->current());
           } else {

@@ -43,7 +43,12 @@ sim::Duration grow_saturating(sim::Duration value, double growth,
   const double grown = static_cast<double>(value) * growth;
   // The negated comparison also routes a NaN (growth abuse) to the limit.
   if (!(grown < static_cast<double>(limit))) return limit;
-  return static_cast<sim::Duration>(grown);
+  const auto truncated = static_cast<sim::Duration>(grown);
+  // Truncation alone would pin a small value under a growth below 2
+  // (1 * 1.5 -> 1 forever), so growth > 1 gains at least 1 per step.
+  // grown < limit, so value + 1 <= limit.
+  if (growth > 1.0 && value > 0) return std::max(value + 1, truncated);
+  return truncated;
 }
 
 sim::Process abd_server(sim::Env env, Network& net, int node, int n) {

@@ -84,7 +84,8 @@ struct RetryPolicy {
 /// to a far-below-overflow limit — at high attempt counts the uncapped
 /// legacy arithmetic overflowed sim::Duration, which is UB on the cast and
 /// turned the pause negative.  Monotone: never returns less than a
-/// growth >= 1 input.
+/// growth >= 1 input, and a positive input under growth > 1 grows by at
+/// least 1 until it saturates.
 sim::Duration grow_saturating(sim::Duration value, double growth,
                               sim::Duration cap);
 

@@ -1,12 +1,9 @@
 #include "tfr/rt/shim/rt_exec.hpp"
 
 #include <sys/mman.h>
-#include <ucontext.h>
 #include <unistd.h>
 
 #include <cstddef>
-#include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <new>
@@ -36,14 +33,20 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// The register swap and first-frame builder (fiber_switch.S).
+extern "C" {
+void tfr_fiber_switch(void** save_sp, void* load_sp);
+void* tfr_fiber_init(void* stack_top, void (*entry)(void*), void* arg);
+}
+
 namespace tfr::rtshim {
 
 namespace detail {
 
 /// One logical thread's fiber: a pooled stack (mapped once, reused by
-/// every execution the slot serves) and the two contexts the hand-off
-/// swaps between.  Everything runs on the explorer's OS thread; `phase`
-/// records whose turn it is.
+/// every execution the slot serves) and the two saved stack pointers the
+/// hand-off swaps between.  Everything runs on the explorer's OS thread;
+/// `phase` records whose turn it is.
 struct Slot {
   enum class Phase {
     kIdle,      ///< in the pool, no job
@@ -83,8 +86,8 @@ struct Slot {
   void* mapping_ = nullptr;  ///< guard page + stack
   std::size_t mapping_bytes_ = 0;
   void* stack_ = nullptr;  ///< lowest usable byte, just above the guard
-  ucontext_t fiber_{};
-  ucontext_t caller_{};
+  void* fiber_sp_ = nullptr;   ///< the suspended fiber's saved frame
+  void* caller_sp_ = nullptr;  ///< the pump's, while the fiber runs
 #if defined(TFR_SHIM_ASAN)
   // The caller's stack, as ASan reports it on each switch in.
   const void* caller_stack_ = nullptr;
@@ -102,11 +105,9 @@ namespace {
 /// The slot whose fiber is running; nullptr on the explorer's own stack.
 Slot* g_running = nullptr;
 
-/// makecontext passes int-sized arguments only, so the slot pointer
-/// travels as two 32-bit halves.
-void fiber_entry(unsigned hi, unsigned lo) {
-  auto* slot = reinterpret_cast<Slot*>(  // NOLINT(performance-no-int-to-ptr)
-      (static_cast<std::uintptr_t>(hi) << 32) | lo);
+/// The fiber's first C++ frame, called by fiber_switch.S's start stub.
+void fiber_entry(void* arg) {
+  auto* slot = static_cast<Slot*>(arg);
   slot->entered();
   {
     std::function<void()> job = std::move(slot->job);
@@ -126,8 +127,8 @@ void fiber_entry(unsigned hi, unsigned lo) {
   slot->exit_fiber();
 }
 
-/// A plain free list of slots.  It holds only memory (stacks and
-/// contexts), so a forked mcheck worker inherits a usable copy.
+/// A plain free list of slots.  It holds only memory (stacks and saved
+/// stack pointers), so a forked mcheck worker inherits a usable copy.
 class SlotPool {
  public:
   static SlotPool& instance() {
@@ -236,14 +237,8 @@ void Slot::arm(std::function<void()> body) {
 
 void Slot::start_job() {
   TFR_INVARIANT(phase == Phase::kArmed);
-  getcontext(&fiber_);
-  fiber_.uc_stack.ss_sp = stack_;
-  fiber_.uc_stack.ss_size = kStackBytes;
-  fiber_.uc_link = nullptr;  // fiber_entry never returns
-  const auto bits = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&fiber_, reinterpret_cast<void (*)()>(&fiber_entry), 2,
-              static_cast<unsigned>(bits >> 32),
-              static_cast<unsigned>(bits & 0xffffffffU));
+  fiber_sp_ = tfr_fiber_init(static_cast<char*>(stack_) + kStackBytes,
+                             &fiber_entry, this);
 #if defined(TFR_SHIM_TSAN)
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -262,7 +257,7 @@ void Slot::resume() {
   tsan_caller_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&caller_, &fiber_);
+  tfr_fiber_switch(&caller_sp_, fiber_sp_);
 #if defined(TFR_SHIM_ASAN)
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -285,7 +280,7 @@ void Slot::yield() {
 #if defined(TFR_SHIM_TSAN)
   __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
-  swapcontext(&fiber_, &caller_);
+  tfr_fiber_switch(&fiber_sp_, caller_sp_);
 #if defined(TFR_SHIM_ASAN)
   __sanitizer_finish_switch_fiber(fake_stack, &caller_stack_,
                                   &caller_stack_bytes_);
@@ -300,8 +295,11 @@ void Slot::exit_fiber() {
 #if defined(TFR_SHIM_TSAN)
   __tsan_switch_to_fiber(tsan_caller_, 0);
 #endif
-  setcontext(&caller_);
-  std::abort();  // setcontext returns only on failure
+  // Saves into fiber_sp_, dead from here on: the next start_job
+  // overwrites it.  (A local would leave its ASan redzones poisoned on
+  // the pooled stack, under the next job's frames.)
+  tfr_fiber_switch(&fiber_sp_, caller_sp_);
+  __builtin_unreachable();
 }
 
 detail::Op* Slot::await_op() {

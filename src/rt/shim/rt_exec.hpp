@@ -10,10 +10,11 @@
 //
 // Mechanics (the CDSChecker/relacy switch-to-master design, adapted to the
 // coroutine simulator): each logical thread is a fiber — its own pooled
-// stack and a ucontext_t — that runs the unmodified algorithm body on the
-// explorer's own OS thread, paired with a sim::Process "pump" coroutine
-// inside the simulation.  Control alternates strictly, one swapcontext
-// per hand-off —
+// stack and a saved stack pointer — that runs the unmodified algorithm
+// body on the explorer's own OS thread, paired with a sim::Process "pump"
+// coroutine inside the simulation.  Control alternates strictly, one
+// register swap (fiber_switch.S: callee-saved registers and FP control
+// state, no system call) per hand-off —
 //
 //   fiber:  runs until its next shared-memory op, posts it, switches back
 //   pump:   co_awaits the op into the simulation; when the explorer
@@ -106,8 +107,8 @@ struct Op {
   virtual WaitList* wait_list() { return nullptr; }
 };
 
-/// One pooled fiber (stack + contexts) paired with one pump; defined in
-/// rt_exec.cpp.
+/// One pooled fiber (stack + saved stack pointers) paired with one pump;
+/// defined in rt_exec.cpp.
 struct Slot;
 
 /// The slot of the fiber now running, or nullptr outside the seam

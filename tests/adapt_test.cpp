@@ -404,6 +404,23 @@ TEST(MsgRetrySaturationTest, HugeGrowthCannotOverflow) {
   EXPECT_EQ(msg::grow_saturating(100, 3.0, 0), 300);
 }
 
+TEST(MsgRetrySaturationTest, SubDoublingGrowthStillGrowsSmallValues) {
+  // Truncation alone returned these inputs forever.
+  EXPECT_EQ(msg::grow_saturating(1, 1.5, 0), 2);
+  EXPECT_EQ(msg::grow_saturating(2, 1.5, 0), 3);
+  EXPECT_EQ(msg::grow_saturating(3, 1.3, 0), 4);
+  // Larger values still truncate, never round up: 10 * 1.1 is a hair
+  // above 11 in double.
+  EXPECT_EQ(msg::grow_saturating(10, 1.1, 0), 11);
+  EXPECT_EQ(msg::grow_saturating(100, 1.5, 0), 150);
+  // The +1 floor saturates at the cap like any other growth.
+  EXPECT_EQ(msg::grow_saturating(4, 1.1, 5), 5);
+  EXPECT_EQ(msg::grow_saturating(5, 1.1, 5), 5);
+  // No growth, and nothing to grow, stay put.
+  EXPECT_EQ(msg::grow_saturating(3, 1.0, 0), 3);
+  EXPECT_EQ(msg::grow_saturating(0, 1.5, 0), 0);
+}
+
 // --- adaptive ABD windows: expiries are timing-failure signals --------------
 
 namespace {

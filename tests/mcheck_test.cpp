@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -507,6 +509,79 @@ TEST(RtShimFiber, BodiesRunOnTheExplorersThread) {
   EXPECT_TRUE(result.stats.complete);
   EXPECT_GT(*bodies, 2);
   EXPECT_EQ(*elsewhere, 0);
+}
+
+// A fiber's first frame is laid out by hand, so its stack alignment is
+// not the compiler's to get right.  glibc's printf spills long double and
+// SSE registers with aligned moves: a first frame off by 8 faults here,
+// before the first op or after a reply.
+TEST(RtShimFiber, EntryStackIsAbiAligned) {
+  auto formatted = std::make_shared<int>(0);
+  auto wrong = std::make_shared<int>(0);
+  const mcheck::CheckResult result = mcheck::check(
+      two_thread_scenario([=](rtshim::atomic<int>& cell, int id) {
+        const std::string expected = id == 0 ? "1.50 0.250" : "2.50 1.250";
+        char text[32];
+        std::snprintf(text, sizeof text, "%.2Lf %.3f", 1.5L + id, 0.25 + id);
+        if (text != expected) ++*wrong;
+        cell.store(id);
+        std::snprintf(text, sizeof text, "%.2Lf %.3f", 1.5L + id, 0.25 + id);
+        if (text != expected) ++*wrong;
+        ++*formatted;
+      }),
+      fiber_config());
+  EXPECT_FALSE(result.violation) << result.what;
+  EXPECT_TRUE(result.stats.complete);
+  EXPECT_GT(*formatted, 2);
+  EXPECT_EQ(*wrong, 0);
+}
+
+// True iff the rounding mode in effect rounds up.  fegetround reads the
+// x87 control word on x86-64; this adds in SSE, so it reads MXCSR.
+bool in_rounding_mode(int mode) {
+  volatile double tiny = 1e-30;
+  const bool rounds_up = 1.0 + tiny > 1.0;
+  return std::fegetround() == mode && rounds_up == (mode == FE_UPWARD);
+}
+
+// The FP control state (rounding mode, exception masks) is per fiber, as
+// it is per context under glibc's context-switch calls: a body's
+// fesetround holds across its ops, and neither the explorer's thread nor
+// the other fiber sees it.
+TEST(RtShimFiber, FloatingPointControlIsPerFiber) {
+  ASSERT_TRUE(in_rounding_mode(FE_TONEAREST));
+  auto bodies = std::make_shared<int>(0);
+  auto wrong = std::make_shared<int>(0);
+  auto stops = std::make_shared<int>(0);
+  const mcheck::CheckScenario threads =
+      two_thread_scenario([=](rtshim::atomic<int>& cell, int id) {
+        const int mode = id == 0 ? FE_UPWARD : FE_TONEAREST;
+        if (id == 0) std::fesetround(FE_UPWARD);
+        cell.store(id);  // suspended: the pump and the other fiber run
+        if (!in_rounding_mode(mode)) ++*wrong;
+        (void)cell.load();
+        if (!in_rounding_mode(mode)) ++*wrong;
+        ++*bodies;
+      });
+  // The stop hook runs on the explorer's thread between steps, with every
+  // fiber suspended.
+  const mcheck::CheckScenario scenario =
+      [=](sim::Simulation& simulation) -> mcheck::RunHarness {
+    mcheck::RunHarness harness = threads(simulation);
+    harness.stop = [=] {
+      ++*stops;
+      if (!in_rounding_mode(FE_TONEAREST)) ++*wrong;
+      return false;
+    };
+    return harness;
+  };
+  const mcheck::CheckResult result = mcheck::check(scenario, fiber_config());
+  EXPECT_FALSE(result.violation) << result.what;
+  EXPECT_TRUE(result.stats.complete);
+  EXPECT_GT(*bodies, 2);
+  EXPECT_GT(*stops, 2);
+  EXPECT_EQ(*wrong, 0);
+  EXPECT_TRUE(in_rounding_mode(FE_TONEAREST));
 }
 
 // An exception a body throws (a bug in the code under test) leaves its

@@ -189,6 +189,23 @@ TEST(ServiceLoadGen, RetryBackoffSaturatesInsteadOfOverflowing) {
   }
 }
 
+TEST(ServiceLoadGen, SubDoublingBackoffRisesStrictlyToTheCap) {
+  msg::RetryPolicy policy;
+  policy.backoff = 1;
+  policy.backoff_growth = 1.5;
+  policy.max_backoff = 50;
+  sim::Duration previous = 0;
+  int attempt = 1;
+  for (; previous < policy.max_backoff; ++attempt) {
+    ASSERT_LE(attempt, 64) << "backoff stalled at " << previous;
+    const sim::Duration pause = service::retry_backoff(policy, 7, attempt);
+    EXPECT_GT(pause, previous) << "attempt " << attempt;
+    previous = pause;
+  }
+  EXPECT_EQ(previous, 50);
+  EXPECT_EQ(service::retry_backoff(policy, 7, attempt + 5), 50);
+}
+
 // --- End-to-end scenario ----------------------------------------------
 
 msg::RetryPolicy test_retry() {
