@@ -3,12 +3,17 @@
 // universal-construction operations) built from Algorithm 1, with and
 // without timing failures.
 //
+// The objects are the shipped rt sources (derived/derived_rt.hpp) on the
+// ShimAtomics policy: each process is a shim thread, and an ordinary
+// Simulation times every shared access under E11's TimingModel, so the
+// table measures in virtual time the code real threads run.
+//
 // Series: per-operation shared-memory steps and completion time (Delta
 // units), plus registers allocated, as n grows.  Expected shape: costs
 // scale with the bit-width of the agreement (elections/TAS ~constant in
 // n), renaming ~n slots worst case, and timing failures slow things down
 // without ever breaking agreement/uniqueness (safety columns implicit:
-// the monitors throw on violation, so completing the table is the check).
+// the audits throw on violation, so completing the table is the check).
 
 #include <algorithm>
 #include <iostream>
@@ -18,18 +23,18 @@
 
 #include "bench_util.hpp"
 #include "tfr/common/contracts.hpp"
-#include "tfr/derived/election_sim.hpp"
-#include "tfr/derived/long_lived_tas_sim.hpp"
-#include "tfr/derived/renaming_sim.hpp"
-#include "tfr/derived/set_consensus_sim.hpp"
-#include "tfr/derived/test_and_set_sim.hpp"
-#include "tfr/derived/universal_sim.hpp"
+#include "tfr/derived/derived_rt.hpp"
+#include "tfr/rt/shim/rt_exec.hpp"
+#include "tfr/rt/shim/shim_atomic.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/timing.hpp"
 
 using namespace tfr;
 
 namespace {
+
+using rtshim::Holder;
+using Shim = rtshim::ShimAtomics;
 
 constexpr sim::Duration kDelta = 100;
 constexpr std::uint64_t kSeeds = 8;
@@ -48,110 +53,73 @@ struct Measured {
   std::uint64_t registers = 0;
 };
 
-sim::Process elect_body(sim::Env env, derived::SimElection& e, int* out) {
-  *out = co_await e.elect(env);
-}
-
-sim::Process tas_body(sim::Env env, derived::SimTestAndSet& t, int* out) {
-  *out = co_await t.test_and_set(env);
-}
-
-sim::Process rename_body(sim::Env env, derived::SimRenaming& r, int* out) {
-  *out = co_await r.acquire(env);
-}
-
-sim::Process universal_body(sim::Env env, derived::SimUniversal& u, int ops) {
-  for (int k = 0; k < ops; ++k)
-    co_await u.invoke(env, derived::CounterReplica::kAdd, 1);
-}
-
-sim::Process setcons_body(sim::Env env, derived::SimSetConsensus& sc,
-                          std::int64_t input, std::int64_t* out) {
-  *out = co_await sc.propose(env, input);
-}
-
-sim::Process lltas_body(sim::Env env, derived::SimLongLivedTestAndSet& tas,
-                        int sessions) {
-  for (int s = 0; s < sessions; ++s) {
-    for (;;) {
-      const int got = co_await tas.test_and_set(env);
-      if (got == 0) break;
-      co_await env.delay(10);
-    }
-    co_await tas.reset(env);
-  }
-}
-
 Measured measure(const std::string& object, int n, bool failures) {
   Measured m;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     sim::Simulation s(timing(failures), {.seed = seed});
-    std::vector<int> out(static_cast<std::size_t>(n), -1);
-
-    std::unique_ptr<derived::SimElection> election;
-    std::unique_ptr<derived::SimTestAndSet> tas;
-    std::unique_ptr<derived::SimRenaming> renaming;
-    std::unique_ptr<derived::SimUniversal> universal;
-    std::unique_ptr<derived::SimSetConsensus> setcons;
-    std::unique_ptr<derived::SimLongLivedTestAndSet> lltas;
-    std::vector<std::int64_t> out64(static_cast<std::size_t>(n), -1);
-
-    if (object == "election") {
-      election = std::make_unique<derived::SimElection>(s.space(), kDelta);
-      for (int i = 0; i < n; ++i)
-        s.spawn([&election, slot = &out[static_cast<std::size_t>(i)]](
-                    sim::Env env) { return elect_body(env, *election, slot); });
-    } else if (object == "test-and-set") {
-      tas = std::make_unique<derived::SimTestAndSet>(s.space(), kDelta);
-      for (int i = 0; i < n; ++i)
-        s.spawn([&tas, slot = &out[static_cast<std::size_t>(i)]](
-                    sim::Env env) { return tas_body(env, *tas, slot); });
-    } else if (object == "renaming") {
-      renaming = std::make_unique<derived::SimRenaming>(s.space(), kDelta, n);
-      for (int i = 0; i < n; ++i)
-        s.spawn([&renaming, slot = &out[static_cast<std::size_t>(i)]](
-                    sim::Env env) { return rename_body(env, *renaming, slot); });
-    } else if (object == "set-consensus(k=2)") {
-      setcons =
-          std::make_unique<derived::SimSetConsensus>(s.space(), kDelta, 2);
-      for (int i = 0; i < n; ++i)
-        s.spawn([&setcons, input = std::int64_t{100 + i},
-                 slot = &out64[static_cast<std::size_t>(i)]](sim::Env env) {
-          return setcons_body(env, *setcons, input, slot);
-        });
-    } else if (object == "long-lived-tas") {
-      lltas = std::make_unique<derived::SimLongLivedTestAndSet>(s.space(),
-                                                                kDelta);
-      for (int i = 0; i < n; ++i)
-        s.spawn([&lltas](sim::Env env) { return lltas_body(env, *lltas, 2); });
-    } else {
-      universal = std::make_unique<derived::SimUniversal>(
-          s.space(), kDelta, n,
-          [] { return std::make_unique<derived::CounterReplica>(); });
-      for (int i = 0; i < n; ++i)
-        s.spawn([&universal](sim::Env env) {
-          return universal_body(env, *universal, 2);
-        });
-    }
-
-    s.run(failures ? 5'000'000'000 : 500'000'000);
+    std::vector<std::int64_t> out(static_cast<std::size_t>(n), -1);
+    const auto at = [&out](int i) -> std::int64_t& {
+      return out[static_cast<std::size_t>(i)];
+    };
+    const auto run = [&s, failures] {
+      s.run(failures ? 5'000'000'000 : 500'000'000);
+    };
 
     // Safety audits per object.
-    if (object == "election" || object == "test-and-set" ||
-        object == "renaming") {
-      std::set<int> values(out.begin(), out.end());
-      if (object == "election") TFR_ENSURE(values.size() == 1);
-      if (object == "test-and-set")
-        TFR_ENSURE(std::count(out.begin(), out.end(), 0) == 1);
-      if (object == "renaming")
-        TFR_ENSURE(values.size() == static_cast<std::size_t>(n));
+    if (object == "election") {
+      const auto h = Holder<rt::BasicRtElection<Shim>>::make(s, kDelta);
+      h->spawn_each(n, [&at](auto& e, int i) { at(i) = e.elect(i); });
+      run();
+      TFR_ENSURE(std::set(out.begin(), out.end()).size() == 1);
+    } else if (object == "test-and-set") {
+      const auto h = Holder<rt::BasicRtTestAndSet<Shim>>::make(s, kDelta);
+      h->spawn_each(n, [&at](auto& t, int i) { at(i) = t.test_and_set(i); });
+      run();
+      TFR_ENSURE(std::count(out.begin(), out.end(), 0) == 1);
+    } else if (object == "renaming") {
+      const auto h = Holder<rt::BasicRtRenaming<Shim>>::make(s, kDelta, n);
+      h->spawn_each(n, [&at](auto& r, int i) { at(i) = r.acquire(i); });
+      run();
+      TFR_ENSURE(std::set(out.begin(), out.end()).size() ==
+                 static_cast<std::size_t>(n));
+    } else if (object == "set-consensus(k=2)") {
+      const auto h =
+          Holder<rt::BasicRtSetConsensus<Shim>>::make(s, kDelta, 2);
+      h->spawn_each(n,
+                    [&at](auto& sc, int i) { at(i) = sc.propose(i, 100 + i); });
+      run();
+      TFR_ENSURE(std::set(out.begin(), out.end()).size() <= 2);
+    } else if (object == "long-lived-tas") {
+      // Each thread holds the bit from its winning test_and_set to its
+      // reset's release write; the execution's occupancy probe counts
+      // overlaps of those spans (marks take no step and no time).
+      const auto h =
+          Holder<rt::BasicRtLongLivedTestAndSet<Shim>>::make(s, kDelta, n);
+      h->spawn_each(n, [exec = h->exec.get()](auto& tas, int i) {
+        for (int session = 0; session < 2; ++session) {
+          while (tas.test_and_set(i) != 0) Shim::delay(10);
+          exec->mark_enter();
+          tas.reset(i);
+          exec->mark_exit();
+        }
+      });
+      run();
+      TFR_ENSURE(h->exec->me_violations() == 0);
+      TFR_ENSURE(h->algo->generations() >= static_cast<std::size_t>(2 * n));
+    } else {
+      // 2n increments of 1: the log holds each once, and the caller whose
+      // increment landed last observed the total.
+      const auto h = Holder<rt::BasicRtUniversal<Shim>>::make(
+          s, kDelta, n,
+          [] { return std::make_unique<derived::CounterReplica>(); });
+      h->spawn_each(n, [&at](auto& u, int i) {
+        for (int k = 0; k < 2; ++k)
+          at(i) = u.invoke(i, derived::CounterReplica::kAdd, 1);
+      });
+      run();
+      TFR_ENSURE(*std::max_element(out.begin(), out.end()) == 2 * n);
+      TFR_ENSURE(h->algo->log_length() == static_cast<std::size_t>(2 * n));
     }
-    if (object == "set-consensus(k=2)") {
-      std::set<std::int64_t> values(out64.begin(), out64.end());
-      TFR_ENSURE(values.size() <= 2);
-    }
-    if (object == "long-lived-tas")
-      TFR_ENSURE(lltas->generations() >= static_cast<std::size_t>(2 * n));
 
     for (int i = 0; i < n; ++i)
       m.steps.add(static_cast<double>(s.stats(i).accesses()));

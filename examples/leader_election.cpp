@@ -4,9 +4,12 @@
 //
 // Six replicas of a coordination service elect a coordinator using the
 // wait-free election built on time-resilient consensus (§1.4 of the
-// paper).  The run begins inside a storm of timing failures — every
-// shared-memory step of every process is stretched far beyond the assumed
-// Δ — and two replicas crash outright.  The election nevertheless
+// paper).  The election is the shipped real-thread source
+// (derived/derived_rt.hpp) on the ShimAtomics policy: each replica is a
+// shim thread whose shared accesses the simulator times.  The run begins
+// inside a storm of timing failures — every shared-memory step of every
+// process is stretched far beyond the assumed Δ — and two replicas crash
+// outright.  The election nevertheless
 // completes with a single agreed leader as soon as the storm passes,
 // illustrating the paper's motto: safety always, liveness as soon as the
 // timing constraints are met.
@@ -15,7 +18,9 @@
 #include <memory>
 #include <vector>
 
-#include "tfr/derived/election_sim.hpp"
+#include "tfr/derived/derived_rt.hpp"
+#include "tfr/rt/shim/rt_exec.hpp"
+#include "tfr/rt/shim/shim_atomic.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/timing.hpp"
 
@@ -23,16 +28,7 @@ namespace {
 
 constexpr tfr::sim::Duration kDelta = 100;
 
-tfr::sim::Process replica(tfr::sim::Env env,
-                          tfr::derived::SimElection& election,
-                          std::vector<int>& winners) {
-  std::printf("[t=%6lld] replica %d joins the election\n",
-              static_cast<long long>(env.now()), env.pid());
-  const int leader = co_await election.elect(env);
-  winners[static_cast<std::size_t>(env.pid())] = leader;
-  std::printf("[t=%6lld] replica %d learns the leader: replica %d\n",
-              static_cast<long long>(env.now()), env.pid(), leader);
-}
+using Election = tfr::rt::BasicRtElection<tfr::rtshim::ShimAtomics>;
 
 }  // namespace
 
@@ -45,15 +41,19 @@ int main() {
       {.begin = 0, .end = 40 * kDelta, .stretched = 6 * kDelta});
 
   tfr::sim::Simulation sim(std::move(injector), {.seed = 2026});
-  tfr::derived::SimElection election(sim.space(), kDelta);
-
   const int replicas = 6;
   std::vector<int> winners(replicas, -1);
-  for (int i = 0; i < replicas; ++i) {
-    sim.spawn([&election, &winners](tfr::sim::Env env) {
-      return replica(env, election, winners);
-    });
-  }
+  // Owns the shim threads' execution and the election; the election's
+  // cells bind to the execution, so it is built second (rt_exec.hpp).
+  const auto holder = tfr::rtshim::Holder<Election>::make(sim, kDelta);
+  holder->spawn_each(replicas, [&sim, &winners](Election& election, int i) {
+    std::printf("[t=%6lld] replica %d joins the election\n",
+                static_cast<long long>(sim.now()), i);
+    const int leader = election.elect(i);
+    winners[static_cast<std::size_t>(i)] = leader;
+    std::printf("[t=%6lld] replica %d learns the leader: replica %d\n",
+                static_cast<long long>(sim.now()), i, leader);
+  });
   // Two replicas die mid-protocol; the others must not block on them.
   sim.crash_after_accesses(1, 40);
   sim.crash_after_accesses(4, 90);

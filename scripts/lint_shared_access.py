@@ -32,6 +32,14 @@ under verification.  Two rules:
     release order is therefore *unverified* strength reduction and needs
     a `mo-ok:` annotation arguing its correctness on the same line or the
     line above.
+  * a policy template must not quietly bind the production policy: the
+    `AtomicRegister<` alias, a `RegisterArray<` with no Atomics argument
+    and any other `StdAtomics` are std::atomic cells even in the
+    ShimAtomics instantiation, so the shim cannot see them.  `StdAtomics`
+    is allowed only on `using X = Basic...<StdAtomics>` alias lines,
+    `extern template` / `template class` lines and as a default template
+    argument; a deliberate production binding elsewhere carries a
+    `std-atomics-ok:` annotation.
 
 The policy definition itself (atomics_policy.hpp) and the seam
 implementation (src/rt/shim/) are the two sides of the boundary and are
@@ -82,6 +90,42 @@ WEAK_ORDER_PATTERN = re.compile(
     r"memory_order_(?:relaxed|acquire|release|acq_rel|consume)"
 )
 WEAK_ORDER_ANNOTATION = "mo-ok"
+STD_ATOMICS_ANNOTATION = "std-atomics-ok"
+ATOMIC_REGISTER_ALIAS = re.compile(r"\bAtomicRegister\s*<")
+REGISTER_ARRAY = re.compile(r"\bRegisterArray\s*<")
+STD_ATOMICS = re.compile(r"\bStdAtomics\b")
+STD_ATOMICS_ALLOWED = (
+    re.compile(r"^\s*using\s+\w+\s*=\s*Basic\w*\s*<.*\bStdAtomics\s*>\s*;"),
+    re.compile(r"^\s*(?:extern\s+)?template\s+class\b"),
+    re.compile(r"\b(?:class|typename)\s+\w+\s*=\s*StdAtomics\b"),
+)
+
+
+def template_args(code: str, start: int) -> str:
+    """The template argument text opening at `start` (just past a `<`),
+    up to its matching `>` or the end of the line."""
+    depth = 1
+    for i in range(start, len(code)):
+        if code[i] == "<":
+            depth += 1
+        elif code[i] == ">":
+            depth -= 1
+            if depth == 0:
+                return code[start:i]
+    return code[start:]
+
+
+def register_array_without_policy(code: str) -> bool:
+    return any(
+        not re.search(r"\w*Atomics\b", template_args(code, m.end()))
+        for m in REGISTER_ARRAY.finditer(code)
+    )
+
+
+def stray_std_atomics(code: str) -> bool:
+    return bool(STD_ATOMICS.search(code)) and not any(
+        allowed.search(code) for allowed in STD_ATOMICS_ALLOWED
+    )
 
 
 def strip_comments(line: str) -> str:
@@ -101,17 +145,18 @@ def iter_sources(root: Path, spec):
 def scan_file(path: Path, rules):
     """Yields (lineno, line, message) per rule violation.
 
-    An annotation on the offending line or on the line directly above
-    covers it (multi-line calls put several memory_order arguments under
-    one annotated first line).
+    A rule is (match, annotation, message); match(code) tests one line
+    with its // comment stripped.  An annotation on the offending line or
+    on the line directly above covers it (multi-line calls put several
+    memory_order arguments under one annotated first line).
     """
     lines = path.read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         code = strip_comments(line)
         annotated_here = line
         annotated_above = lines[lineno - 2] if lineno >= 2 else ""
-        for pattern, annotation, message in rules:
-            if not pattern.search(code):
+        for match, annotation, message in rules:
+            if not match(code):
                 continue
             if annotation in annotated_here or annotation in annotated_above:
                 continue
@@ -120,7 +165,11 @@ def scan_file(path: Path, rules):
 
 def findings(root: Path):
     sim_rules = [
-        (SIM_PATTERN, SIM_ANNOTATION, "untimed shared access in algorithm code")
+        (
+            SIM_PATTERN.search,
+            SIM_ANNOTATION,
+            "untimed shared access in algorithm code",
+        )
     ]
     for path in iter_sources(root, SIM_DIRS):
         if "_rt." in path.name or path.name == "lock_adapters.hpp":
@@ -130,14 +179,32 @@ def findings(root: Path):
 
     rt_rules = [
         (
-            RAW_ATOMIC_PATTERN,
+            RAW_ATOMIC_PATTERN.search,
             RAW_ATOMIC_ANNOTATION,
             "raw std::atomic bypasses the Atomics policy seam",
         ),
         (
-            WEAK_ORDER_PATTERN,
+            WEAK_ORDER_PATTERN.search,
             WEAK_ORDER_ANNOTATION,
             "non-seq_cst order is unverified by the shim",
+        ),
+        (
+            ATOMIC_REGISTER_ALIAS.search,
+            STD_ATOMICS_ANNOTATION,
+            "AtomicRegister<> is the StdAtomics cell; use "
+            "BasicAtomicRegister<T, Atomics>",
+        ),
+        (
+            register_array_without_policy,
+            STD_ATOMICS_ANNOTATION,
+            "RegisterArray<> without an Atomics argument defaults to "
+            "StdAtomics",
+        ),
+        (
+            stray_std_atomics,
+            STD_ATOMICS_ANNOTATION,
+            "StdAtomics bound outside an alias, explicit instantiation or "
+            "default argument",
         ),
     ]
     exempt = tuple(str(root / e) for e in RT_EXEMPT)
@@ -158,8 +225,9 @@ def main() -> int:
             f"\n{len(bad)} shared-access finding(s); route the access through\n"
             f"the timed awaiters / the Atomics policy, or annotate deliberate\n"
             f"uses with '// {SIM_ANNOTATION}: <reason>',"
-            f" '// {RAW_ATOMIC_ANNOTATION}: <reason>' or"
-            f" '// {WEAK_ORDER_ANNOTATION}: <reason>'.",
+            f" '// {RAW_ATOMIC_ANNOTATION}: <reason>',"
+            f" '// {WEAK_ORDER_ANNOTATION}: <reason>' or"
+            f" '// {STD_ATOMICS_ANNOTATION}: <reason>'.",
             file=sys.stderr,
         )
         return 1

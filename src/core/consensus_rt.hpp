@@ -9,7 +9,7 @@
 // Like the rt locks, the algorithm is a template over the Atomics policy
 // (rt/atomics_policy.hpp): RtConsensus is the StdAtomics instantiation and
 // tfr_mcheck's consensus-rt-n2 explores the same source on ShimAtomics.
-// It is the one rt transcription of the round loop: RtMultiConsensus
+// It is the one rt transcription of the round loop: BasicRtMultiConsensus
 // (derived/derived_rt.hpp) runs one lane per bit through it, with round r
 // of lane k at index r·lanes + k of one set of x0/x1/y arrays.
 //
@@ -33,7 +33,8 @@
 
 namespace tfr::rt {
 
-class RtMultiConsensus;
+template <class Atomics>
+class BasicRtMultiConsensus;
 
 template <class Atomics, std::size_t SegmentSize = 1024,
           std::size_t MaxSegments = 4096>
@@ -70,9 +71,16 @@ class BasicRtConsensus {
   int decided() const { return decided(0); }
 
  private:
-  friend class RtMultiConsensus;
+  friend class BasicRtMultiConsensus<Atomics>;
   using Register = BasicAtomicRegister<int, Atomics>;
   using Array = RegisterArray<int, SegmentSize, MaxSegments, Atomics>;
+
+  /// Each decide cell is constructed holding ⊥: under the shim a write
+  /// after construction, on an algorithm thread that builds the instance
+  /// lazily, would be an explored access.
+  struct DecideCell : Register {
+    DecideCell() : Register(kBot) {}
+  };
 
   /// `lanes` independent instances over one set of arrays.
   BasicRtConsensus(Config config, std::size_t lanes)
@@ -81,10 +89,9 @@ class BasicRtConsensus {
         x0_(0),
         x1_(0),
         y_(kBot),
-        decide_(std::make_unique<Register[]>(lanes)) {
+        decide_(std::make_unique<DecideCell[]>(lanes)) {
     TFR_REQUIRE(Atomics::count(config.delta) >= 0);
     TFR_REQUIRE(lanes >= 1);
-    for (std::size_t k = 0; k < lanes; ++k) decide_[k].write(kBot);
   }
 
   Result propose(std::size_t lane, int input) {
@@ -145,7 +152,7 @@ class BasicRtConsensus {
   Array x0_;
   Array x1_;
   Array y_;
-  std::unique_ptr<Register[]> decide_;  ///< one per lane
+  std::unique_ptr<DecideCell[]> decide_;  ///< one per lane
 };
 
 using RtConsensus = BasicRtConsensus<StdAtomics>;

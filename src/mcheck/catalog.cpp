@@ -44,6 +44,11 @@ std::vector<NamedCheck> catalog() {
   // schedule space (many channel registers) remains tractable.
   ExploreConfig abd = untimed_config();
   abd.max_steps = 600;
+  // Two bits chain two binary instances: on top of the timing failure, a
+  // Δ-cost access budget multiplies the schedules about 40× (50,497
+  // executions, 1.4 s), so the check keeps the failure alone.
+  ExploreConfig multi_consensus = base_config();
+  multi_consensus.slow_budget = 0;
 
   return {
       {"consensus-n2", "Algorithm 1, n=2, inputs {0,1}, round bound 2", kSim,
@@ -66,9 +71,9 @@ std::vector<NamedCheck> catalog() {
        "ABD register, n=3, one server crashed: reads/writes linearize", kSim,
        make_abd_scenario({}), abd, false},
       // The production rt code (mutex_rt.hpp, atomic_mutex.hpp,
-      // consensus_rt.hpp) instantiated with ShimAtomics and driven through
-      // the interposition seam: the checker explores the source production
-      // runs, not a transcription.
+      // consensus_rt.hpp, derived_rt.hpp) instantiated with ShimAtomics
+      // and driven through the interposition seam: the checker explores
+      // the source production runs, not a transcription.
       {"fischer-rt-n2",
        "real-thread Fischer through the shim: one timing failure breaks ME",
        kRt, make_rt_mutex_scenario({.algorithm = RtMutex::kFischer}),
@@ -84,6 +89,10 @@ std::vector<NamedCheck> catalog() {
       {"consensus-rt-n2",
        "real-thread Algorithm 1 through the shim, n=2, inputs {0,1}", kRt,
        make_rt_consensus_scenario(), base_config(), false},
+      {"multi-consensus-rt-n2",
+       "real-thread bitwise multi-valued consensus through the shim, n=2, "
+       "2 bits, inputs {0b01,0b10}",
+       kRt, make_rt_multi_consensus_scenario(), multi_consensus, false},
       // The lost wakeup is a pure ordering race; no timing failures are
       // needed to find it.
       {"eventcount-torn-epoch",

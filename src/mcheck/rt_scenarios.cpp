@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "tfr/core/consensus_rt.hpp"
+#include "tfr/derived/derived_rt.hpp"
 #include "tfr/mutex/lock_adapters.hpp"
 #include "tfr/mutex/mutex_rt.hpp"
 #include "tfr/registers/atomic_register.hpp"
@@ -23,16 +24,8 @@ using ShimAtomics = rtshim::ShimAtomics;
 // the verdict closure solely owns a Holder, so the RtExecution is
 // destroyed exactly when the explorer drops the harness, on the
 // simulation thread.  Thread bodies own only the algorithm state (plus a
-// raw RtExecution pointer for the occupancy probe); each fiber drops
-// those references before reporting kJobDone, and ~RtExecution resumes
-// every unfinished fiber until kJobDone, so by the time the Holder
-// releases its own algorithm-state reference it is always the last one —
-// the shared state is never destroyed on a fiber's stack.
-template <class Algo>
-struct Holder {
-  std::shared_ptr<Algo> algo;                 // destroyed second
-  std::unique_ptr<rtshim::RtExecution> exec;  // destroyed first
-};
+// raw RtExecution pointer for the occupancy probe).
+using rtshim::Holder;
 
 /// A run that goes idle with unfinished threads means every one of them
 /// is parked in atomic::wait with no wakeup in flight: a lost wakeup (or
@@ -51,9 +44,7 @@ CheckScenario make_rt_mutex_scenario(RtMutexScenarioConfig config) {
     struct Algo {
       std::unique_ptr<rt::BasicRtMutex<ShimAtomics>> lock;
     };
-    auto holder = std::make_shared<Holder<Algo>>();
-    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
-    holder->algo = std::make_shared<Algo>();
+    auto holder = Holder<Algo>::make(simulation);
     switch (config.algorithm) {
       case RtMutexScenarioConfig::Algorithm::kFischer:
         holder->algo->lock =
@@ -103,9 +94,7 @@ CheckScenario make_rt_consensus_scenario() {
       sim::DecisionMonitor monitor;
       std::uint64_t rounds[2] = {0, 0};  ///< [thread]; 0 = not decided
     };
-    auto holder = std::make_shared<Holder<Algo>>();
-    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
-    holder->algo = std::make_shared<Algo>();
+    auto holder = Holder<Algo>::make(simulation);
     holder->algo->monitor.throw_on_violation(false);
     for (int id = 0; id < 2; ++id) {  // thread `id` proposes `id`
       holder->algo->monitor.set_input(id, id);
@@ -136,15 +125,48 @@ CheckScenario make_rt_consensus_scenario() {
   };
 }
 
+CheckScenario make_rt_multi_consensus_scenario() {
+  return [](sim::Simulation& simulation) -> RunHarness {
+    // Two bits, inputs 0b01 and 0b10: the threads disagree at every bit
+    // position, so whichever wins bit 0 makes the other adopt a witness.
+    using MultiConsensus = rt::BasicRtMultiConsensus<ShimAtomics>;
+    constexpr int kInputs[2] = {1, 2};
+    struct Algo {
+      MultiConsensus consensus{{.delta = 2, .bits = 2}};
+      sim::DecisionMonitor monitor;
+    };
+    auto holder = Holder<Algo>::make(simulation);
+    holder->algo->monitor.throw_on_violation(false);
+    for (int id = 0; id < 2; ++id) {
+      holder->algo->monitor.set_input(id, kInputs[id]);
+      holder->exec->spawn_thread(
+          [algo = holder->algo, sim = &simulation, id, input = kInputs[id]] {
+            const auto decided = algo->consensus.propose(input);
+            algo->monitor.on_decide(id, static_cast<int>(decided), sim->now());
+          });
+    }
+
+    RunHarness harness;
+    harness.verdict = [holder,
+                       sim = &simulation](const RunInfo&) -> CheckOutcome {
+      const Algo& algo = *holder->algo;
+      if (!algo.monitor.agreement_holds())
+        return {false, "multi-valued agreement violated"};
+      if (!algo.monitor.validity_holds())
+        return {false, "multi-valued validity violated"};
+      return check_parked_at_idle(*sim);
+    };
+    return harness;
+  };
+}
+
 CheckScenario make_rt_eventcount_scenario(RtEventCountScenarioConfig config) {
   return [config](sim::Simulation& simulation) -> RunHarness {
     struct Algo {
       std::unique_ptr<rt::BasicAtomicRegister<int, ShimAtomics>> ready;
       std::unique_ptr<rt::BasicEventCount<ShimAtomics>> events;
     };
-    auto holder = std::make_shared<Holder<Algo>>();
-    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
-    holder->algo = std::make_shared<Algo>();
+    auto holder = Holder<Algo>::make(simulation);
     holder->algo->ready =
         std::make_unique<rt::BasicAtomicRegister<int, ShimAtomics>>();
     holder->algo->events = std::make_unique<rt::BasicEventCount<ShimAtomics>>();

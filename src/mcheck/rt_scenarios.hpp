@@ -41,6 +41,13 @@ CheckScenario make_rt_mutex_scenario(RtMutexScenarioConfig config = {});
 /// decide by round 1 (0-based).
 CheckScenario make_rt_consensus_scenario();
 
+/// The derived tower's base, BasicRtMultiConsensus (derived/derived_rt.hpp),
+/// on two bits with Δ = 2: two shim threads proposing 0b01 and 0b10, which
+/// differ at every bit, so each bit's loser adopts the winner's witness.
+/// Agreement and validity (via sim::DecisionMonitor) are checked on every
+/// execution.
+CheckScenario make_rt_multi_consensus_scenario();
+
 /// The EventCount publication protocol in isolation: one producer sets a
 /// register and bumps the epoch, one consumer awaits the register via
 /// wait_until_changed.  With `torn_epoch` the producer advances *before*

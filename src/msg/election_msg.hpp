@@ -10,10 +10,10 @@
 // point: E16 measures them.
 //
 // MsgElection — resilient: agree on the leader id with the bitwise
-// multi-valued construction (derived::agree_bitwise, the reduction
-// SimMultiConsensus runs) over MsgConsensus instances (one per id bit,
-// witnesses in ABD registers).  Safety never depends on delivery times;
-// late messages only delay the outcome.
+// multi-valued construction (agree_bitwise below, the reduction
+// rt::BasicRtMultiConsensus runs on shared memory) over MsgConsensus
+// instances (one per id bit, witnesses in ABD registers).  Safety never
+// depends on delivery times; late messages only delay the outcome.
 
 #pragma once
 
@@ -21,10 +21,41 @@
 #include <memory>
 #include <vector>
 
-#include "tfr/derived/multivalue_sim.hpp"
+#include "tfr/common/contracts.hpp"
 #include "tfr/msg/consensus_msg.hpp"
 
 namespace tfr::msg {
+
+/// Agrees on a `bits`-bit non-negative `value` by bitwise prefix
+/// agreement (derived/derived_rt.hpp has the argument) through `regs`,
+/// which provides witness(k, b) cells (reading -1 until written),
+/// read/write access as in the round loop's seam, and propose(env, k, b) —
+/// the binary instance of bit k.  co_returns the agreed value (some
+/// process's input).
+template <class Value, class Registers>
+sim::Task<Value> agree_bitwise(sim::Env env, Registers regs, int bits,
+                               Value value) {
+  TFR_REQUIRE(value >= 0);
+  TFR_REQUIRE(bits >= 62 || value < (Value{1} << bits));
+  Value candidate = value;
+  for (int k = 0; k < bits; ++k) {
+    const int b = static_cast<int>((candidate >> k) & 1);
+    // Publish the full candidate before proposing its bit: if bit b wins,
+    // some witness with that bit (and the agreed prefix) exists.
+    co_await regs.write(env, regs.witness(k, b), candidate);
+    const int decided = co_await regs.propose(env, k, b);
+    if (decided != b) {
+      const Value adopted = co_await regs.read(env, regs.witness(k, decided));
+      TFR_INVARIANT(adopted >= 0);
+      // The adopted witness agrees with our candidate on bits 0..k-1 (both
+      // match the agreed prefix) and carries the winning bit at k.
+      TFR_INVARIANT(((adopted ^ candidate) & ((Value{1} << k) - 1)) == 0);
+      TFR_INVARIANT(((adopted >> k) & 1) == decided);
+      candidate = adopted;
+    }
+  }
+  co_return candidate;
+}
 
 /// Message type used by TimedElection's announcements.
 inline constexpr std::int32_t kHello = 100;
@@ -64,8 +95,8 @@ class MsgElection {
 
   /// Composable core.
   sim::Task<int> elect(sim::Env env, AbdClient& client, int id) {
-    return derived::agree_bitwise(env, Registers{AbdAccess(client), this},
-                                  kIdBits, id);
+    return agree_bitwise(env, Registers{AbdAccess(client), this}, kIdBits,
+                         id);
   }
 
   sim::DecisionMonitor& monitor() { return monitor_; }

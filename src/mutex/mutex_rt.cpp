@@ -21,6 +21,7 @@ template class BasicTfrMutexRt<StdAtomics>;
 
 std::unique_ptr<TfrMutexRt> make_tfr_mutex_rt(int n, Nanos delta,
                                               FaultInjector* faults) {
+  // std-atomics-ok: the production factory behind the TfrMutexRt alias
   return make_basic_tfr_mutex<StdAtomics>(n, delta, faults);
 }
 

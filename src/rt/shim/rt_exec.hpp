@@ -50,6 +50,8 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "tfr/sim/simulation.hpp"
@@ -138,7 +140,10 @@ void post_op(Op& op);
 /// fiber's entry drops the body's closure before reporting its slot done,
 /// and ~RtExecution resumes every unfinished fiber until that report, so an
 /// algorithm-state reference held alongside the RtExecution is always the
-/// last to drop (see mcheck/rt_scenarios.cpp for the Holder idiom).
+/// last to drop (Holder below).
+///
+/// No explorer is needed: in an ordinary Simulation the shim threads run
+/// under its TimingModel like coroutine processes, one access at a time.
 class RtExecution {
  public:
   explicit RtExecution(sim::Simulation& sim);
@@ -172,6 +177,34 @@ class RtExecution {
   std::vector<detail::Slot*> slots_;
   int occupancy_ = 0;
   std::uint64_t violations_ = 0;
+};
+
+/// The ownership idiom of the contract above: whoever runs the simulation
+/// (an mcheck verdict closure, a bench, a test) owns the Holder alone, so
+/// the RtExecution dies first, unwinding any unfinished fiber while the
+/// algorithm state is still alive, and the state dies last.  make() builds
+/// the RtExecution before the state, since every shim cell must be
+/// constructed while an RtExecution is live.
+template <class Algo>
+struct Holder {
+  template <class... Args>
+  static std::shared_ptr<Holder> make(sim::Simulation& sim, Args&&... args) {
+    auto holder = std::make_shared<Holder>();
+    holder->exec = std::make_unique<RtExecution>(sim);
+    holder->algo = std::make_shared<Algo>(std::forward<Args>(args)...);
+    return holder;
+  }
+
+  /// Spawns `n` threads, the i-th running body(*algo, i).  The bodies hold
+  /// `algo` by plain pointer: this Holder outlives them.
+  template <class Body>
+  void spawn_each(int n, Body body) {
+    for (int i = 0; i < n; ++i)
+      exec->spawn_thread([object = algo.get(), body, i] { body(*object, i); });
+  }
+
+  std::shared_ptr<Algo> algo;         // destroyed second
+  std::unique_ptr<RtExecution> exec;  // destroyed first
 };
 
 }  // namespace tfr::rtshim

@@ -8,7 +8,10 @@
 #include <tuple>
 #include <vector>
 
+#include "tfr/core/consensus_rt.hpp"
 #include "tfr/core/consensus_sim.hpp"
+#include "tfr/rt/shim/rt_exec.hpp"
+#include "tfr/rt/shim/shim_atomic.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/timing.hpp"
 
@@ -313,6 +316,82 @@ TEST_P(ConsensusSweep, SafetyAndTermination) {
     EXPECT_TRUE(out.value == 0 || out.value == 1);
     if (failure_pct == 0) {
       EXPECT_LE(out.last_decision, 15 * kDelta);
+    }
+  }
+}
+
+// --- One algorithm, two sources -------------------------------------------
+
+/// What a run of n processes proposing i % 2 leaves behind.
+struct StepTrace {
+  std::vector<std::uint64_t> accesses;  ///< per process
+  std::vector<int> decisions;           ///< per process
+  sim::Time end = 0;                    ///< Simulation::now() after the run
+};
+
+std::unique_ptr<sim::TimingModel> differential_timing(bool failures) {
+  if (!failures) return make_uniform_timing(1, kDelta);
+  auto injector = std::make_unique<FailureInjector>(
+      make_uniform_timing(1, kDelta), kDelta);
+  injector->set_random_failures(0.1, 8 * kDelta);
+  return injector;
+}
+
+sim::Process propose_into(sim::Env env, SimConsensus& consensus, int input,
+                          int* out) {
+  *out = co_await consensus.propose(env, input);
+}
+
+StepTrace finish(const sim::Simulation& s, std::vector<int> decisions) {
+  StepTrace trace{{}, std::move(decisions), s.now()};
+  for (std::size_t i = 0; i < trace.decisions.size(); ++i)
+    trace.accesses.push_back(s.stats(static_cast<sim::Pid>(i)).accesses());
+  return trace;
+}
+
+StepTrace run_sim_source(int n, bool failures, std::uint64_t seed) {
+  sim::Simulation s(differential_timing(failures), {.seed = seed});
+  SimConsensus consensus(s.space(), kDelta);
+  std::vector<int> out(static_cast<std::size_t>(n), sim::kBot);
+  for (int i = 0; i < n; ++i) {
+    s.spawn([&consensus, input = i % 2,
+             slot = &out[static_cast<std::size_t>(i)]](sim::Env env) {
+      return propose_into(env, consensus, input, slot);
+    });
+  }
+  s.run(100'000'000);
+  return finish(s, std::move(out));
+}
+
+StepTrace run_rt_source(int n, bool failures, std::uint64_t seed) {
+  using Consensus = rt::BasicRtConsensus<rtshim::ShimAtomics>;
+  sim::Simulation s(differential_timing(failures), {.seed = seed});
+  std::vector<int> out(static_cast<std::size_t>(n), sim::kBot);
+  const auto holder = rtshim::Holder<Consensus>::make(
+      s, Consensus::Config{.delta = kDelta});
+  holder->spawn_each(n, [&out](Consensus& consensus, int i) {
+    out[static_cast<std::size_t>(i)] = consensus.propose_value(i % 2);
+  });
+  s.run(100'000'000);
+  return finish(s, std::move(out));
+}
+
+// core::SimConsensus (the coroutine round loop) and the rt source on shim
+// threads take the same shared steps under the same timing: E11 measures
+// the derived objects on the rt source and relies on this.
+TEST(ConsensusSources, SimAndShimRtTakeTheSameSteps) {
+  for (const int n : {2, 4}) {
+    for (const bool failures : {false, true}) {
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " failures="
+                                          << failures << " seed=" << seed);
+        const StepTrace sim_trace = run_sim_source(n, failures, seed);
+        const StepTrace rt_trace = run_rt_source(n, failures, seed);
+        EXPECT_EQ(sim_trace.accesses, rt_trace.accesses);
+        EXPECT_EQ(sim_trace.decisions, rt_trace.decisions);
+        EXPECT_EQ(sim_trace.end, rt_trace.end);
+        EXPECT_NE(rt_trace.decisions[0], sim::kBot);
+      }
     }
   }
 }

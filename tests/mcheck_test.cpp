@@ -456,24 +456,14 @@ TEST(RtShimWaitNotify, AtomicLockVerifiesCleanInProcess) {
 
 // A two-thread rt scenario over one shared shim cell: thread `id` runs
 // body(cell, id).  Same ownership shape as mcheck/rt_scenarios.cpp: the
-// verdict closure alone owns the RtExecution, bodies share the state.
+// verdict closure alone owns the Holder, bodies share the cell.
 template <class Body>
 mcheck::CheckScenario two_thread_scenario(Body body) {
   return [body](sim::Simulation& simulation) -> mcheck::RunHarness {
-    struct State {
-      std::unique_ptr<rtshim::atomic<int>> cell;
-    };
-    struct Holder {
-      std::shared_ptr<State> state;                // destroyed second
-      std::unique_ptr<rtshim::RtExecution> exec;  // destroyed first
-    };
-    auto holder = std::make_shared<Holder>();
-    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
-    holder->state = std::make_shared<State>();
-    holder->state->cell = std::make_unique<rtshim::atomic<int>>(0);
+    auto holder = rtshim::Holder<rtshim::atomic<int>>::make(simulation, 0);
     for (int id = 0; id < 2; ++id) {
       holder->exec->spawn_thread(
-          [state = holder->state, body, id] { body(*state->cell, id); });
+          [cell = holder->algo, body, id] { body(*cell, id); });
     }
     mcheck::RunHarness harness;
     harness.verdict = [holder](const mcheck::RunInfo&) {
@@ -625,17 +615,11 @@ TEST(RtShimFiber, TruncatedRunsDropEveryClosureOnce) {
   auto dropped = std::make_shared<int>(0);
   const mcheck::CheckScenario scenario =
       [spawned, dropped](sim::Simulation& simulation) -> mcheck::RunHarness {
-    struct Holder {
-      std::shared_ptr<rtshim::atomic<int>> cell;
-      std::unique_ptr<rtshim::RtExecution> exec;
-    };
-    auto holder = std::make_shared<Holder>();
-    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
-    holder->cell = std::make_shared<rtshim::atomic<int>>(0);
+    auto holder = rtshim::Holder<rtshim::atomic<int>>::make(simulation, 0);
     for (int id = 0; id < 2; ++id) {
       ++*spawned;
       holder->exec->spawn_thread(
-          [cell = holder->cell,
+          [cell = holder->algo,
            sentinel = std::make_shared<Sentinel>(dropped)] {
             for (int i = 0; i < 50; ++i) cell->store(cell->load() + 1);
           });
@@ -674,7 +658,7 @@ TEST(McheckCatalog, NamesAreUniqueAndEachEntryHasOneGroup) {
     }
   }
   EXPECT_EQ(sim, 5u);
-  EXPECT_EQ(rt, 6u);
+  EXPECT_EQ(rt, 7u);
   EXPECT_EQ(sim + rt, checks.size());
   EXPECT_EQ(mcheck::catalog_entry("fischer-rt-n2").group,
             mcheck::CheckGroup::kRt);
@@ -689,6 +673,7 @@ TEST(McheckCatalog, CheapEntriesReachTheirVerdicts) {
       {"abd-n3-minority-down", 48},
       {"atomic-lock-rt-n2", 139},
       {"consensus-rt-n2", 3440},
+      {"multi-consensus-rt-n2", 1226},
       {"eventcount-torn-epoch", 2},
       {"eventcount-write-then-advance", 4},
   };

@@ -15,6 +15,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "tfr/core/consensus_rt.hpp"
+#include "tfr/derived/derived_rt.hpp"
 #include "tfr/mutex/lock_adapters.hpp"
 #include "tfr/mutex/mutex_rt.hpp"
 #include "tfr/registers/atomic_register.hpp"
@@ -49,6 +51,22 @@ static_assert(std::is_same_v<rt::AtomicMutexLock,
                              rt::BasicAtomicMutexLock<rt::StdAtomics>>);
 static_assert(std::is_same_v<rt::AtomicRegister<int>,
                              rt::BasicAtomicRegister<int, rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtConsensus, rt::BasicRtConsensus<rt::StdAtomics>>);
+static_assert(std::is_same_v<rt::RtMultiConsensus,
+                             rt::BasicRtMultiConsensus<rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtElection, rt::BasicRtElection<rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtTestAndSet, rt::BasicRtTestAndSet<rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtRenaming, rt::BasicRtRenaming<rt::StdAtomics>>);
+static_assert(std::is_same_v<rt::RtSetConsensus,
+                             rt::BasicRtSetConsensus<rt::StdAtomics>>);
+static_assert(std::is_same_v<rt::RtLongLivedTestAndSet,
+                             rt::BasicRtLongLivedTestAndSet<rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtUniversal, rt::BasicRtUniversal<rt::StdAtomics>>);
 
 // Layout: the futex-class primitives stay one 4-byte word (also
 // static_asserted at their definitions), standard-layout, and no more
