@@ -349,6 +349,19 @@ TEST(ServiceDeterminism, SameSeedReplaysByteIdentical) {
   }
 }
 
+// Golden pin: the traced run above hashes to a constant captured with the
+// binary-heap event queue, so a change to the simulator's same-instant
+// order fails here even though both runs of one binary would still agree.
+TEST(ServiceDeterminism, TracedRunMatchesGoldenHash) {
+  obs::TraceSink sink;
+  service::ServiceConfig config = small_config(2'000);
+  config.sink = &sink;
+  const service::ServiceReport report = service::run_service(config);
+  EXPECT_TRUE(report.complete());
+  EXPECT_EQ(sink.hash(), 0xda0d2e827dc8161aULL);
+  EXPECT_EQ(sink.size(), 38351u);
+}
+
 TEST(ServiceDeterminism, DifferentSeedsDiverge) {
   obs::TraceSink sink_a;
   obs::TraceSink sink_b;
