@@ -128,7 +128,10 @@ class BasicRtMultiConsensus {
   using Array64 = RegisterArray<std::int64_t, 64, 16, Atomics>;
 
   Config config_;
-  BasicRtConsensus<Atomics, 256, 64> binary_;  ///< one lane per bit
+  /// One lane per bit; round r of lane k is cell r·bits + k.  64-cell
+  /// segments keep round 0 of up to 64 lanes in one segment (an election
+  /// has 24, a universal slot 62) at the same 16,384-cell capacity.
+  BasicRtConsensus<Atomics, 64, 256> binary_;
   Array64 witness0_;  ///< per-bit witnesses for bit value 0
   Array64 witness1_;
 };

@@ -55,8 +55,8 @@ bool Simulation::pop_next_event(Event& out, Time limit, bool& over_limit) {
       if (event.callback >= 0) {
         // Scheduled callbacks are not scheduling options: they run as soon
         // as their instant is reached, before the strategy picks.
-        now_ = event.when;
-        callbacks_[static_cast<std::size_t>(event.callback)]();
+        advance_clock(event.when);
+        run_callback(event.callback);
         continue;
       }
       if (crashed_by(event.pid, event.when)) {
@@ -98,8 +98,8 @@ Simulation::StepOutcome Simulation::run_step(Time limit) {
       event = top;
       queue_.pop();
       if (event.callback >= 0) {
-        now_ = event.when;
-        callbacks_[static_cast<std::size_t>(event.callback)]();
+        advance_clock(event.when);
+        run_callback(event.callback);
         // A callback counts as progress: the caller's stop predicate runs.
         return StepOutcome::kProgress;
       }
@@ -119,7 +119,7 @@ Simulation::StepOutcome Simulation::run_step(Time limit) {
       return over_limit ? StepOutcome::kOverLimit : StepOutcome::kIdle;
   }
   TFR_INVARIANT(event.when >= now_);
-  now_ = event.when;
+  advance_clock(event.when);
   event.handle.resume();
   if (pending_exception_) {
     std::exception_ptr e = std::exchange(pending_exception_, nullptr);
@@ -138,10 +138,18 @@ void Simulation::schedule_callback(Time when, std::function<void()> fn) {
   TFR_REQUIRE(when >= now_);
   TFR_REQUIRE(fn != nullptr);
   callbacks_.push_back(std::move(fn));
-  Event event{when, next_seq_++, /*pid=*/-1, /*handle=*/{},
-              AccessKind::kStart, /*reg_uid=*/0,
-              static_cast<std::int64_t>(callbacks_.size() - 1)};
-  queue_.push(event);
+  queue_.emplace(when, next_seq_++, /*handle=*/std::coroutine_handle<>{},
+                 /*reg_uid=*/std::uint64_t{0},
+                 static_cast<std::int64_t>(callbacks_.size() - 1),
+                 /*pid=*/Pid{-1}, AccessKind::kStart);
+}
+
+void Simulation::run_callback(std::int64_t index) {
+  // Moved out before it runs: a callback that schedules another grows
+  // callbacks_, which may reallocate the vector under the running one.
+  const std::function<void()> fn =
+      std::move(callbacks_[static_cast<std::size_t>(index)]);
+  fn();
 }
 
 void Simulation::crash_at(Pid pid, Time t) {
@@ -167,8 +175,15 @@ bool Simulation::all_done() const {
   return true;
 }
 
+std::vector<Simulation::Event> Simulation::pending_copy() const {
+  std::vector<Event> copy;
+  copy.reserve(queue_.size());
+  queue_.for_each([&copy](const Event& e) { copy.push_back(e); });
+  return copy;
+}
+
 std::vector<std::pair<Time, Pid>> Simulation::pending_events() const {
-  std::vector<Event> copy = queue_.raw();
+  std::vector<Event> copy = pending_copy();
   std::sort(copy.begin(), copy.end(), [](const Event& a, const Event& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
@@ -187,13 +202,13 @@ std::uint64_t Simulation::state_fingerprint() const {
       h *= 0x100000001b3ULL;
     }
   };
-  // Pending events, sorted into a layout-independent order (the heap's
-  // internal array depends on push/pop history, which equal states reached
-  // along different paths need not share).  Due times are folded relative
-  // to now so the signature is translation-invariant in absolute time
-  // only when the caller mixes `now` in; we keep it absolute here because
-  // scenario cutoffs and monitors may be time-dependent.
-  std::vector<Event> copy = queue_.raw();
+  // Pending events, sorted into a layout-independent order (the queue's
+  // slot and heap layout depend on push/pop history, which equal states
+  // reached along different paths need not share).  Due times are folded
+  // relative to now so the signature is translation-invariant in absolute
+  // time only when the caller mixes `now` in; we keep it absolute here
+  // because scenario cutoffs and monitors may be time-dependent.
+  std::vector<Event> copy = pending_copy();
   std::sort(copy.begin(), copy.end(), [](const Event& a, const Event& b) {
     if (a.when != b.when) return a.when < b.when;
     if (a.pid != b.pid) return a.pid < b.pid;
@@ -296,7 +311,8 @@ void Simulation::note_trace(Pid pid, char kind) {
 
 void Simulation::push_event(Time when, Pid pid, std::coroutine_handle<> h,
                             AccessKind kind, std::uint64_t reg_uid) {
-  queue_.push(Event{when, next_seq_++, pid, h, kind, reg_uid});
+  queue_.emplace(when, next_seq_++, h, reg_uid, /*callback=*/std::int64_t{-1},
+                 pid, kind);
 }
 
 }  // namespace tfr::sim

@@ -15,7 +15,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -29,6 +28,7 @@
 #include "tfr/common/contracts.hpp"
 #include "tfr/common/rng.hpp"
 #include "tfr/obs/trace.hpp"
+#include "tfr/sim/event_queue.hpp"
 #include "tfr/sim/register.hpp"
 #include "tfr/sim/timing.hpp"
 #include "tfr/sim/types.hpp"
@@ -235,6 +235,7 @@ class Simulation {
   /// at time `start`.  Returns the new pid (dense, from 0).
   template <class Factory>
   Pid spawn(Factory&& factory, Time start = 0) {
+    TFR_REQUIRE(start >= now_);
     const Pid pid = static_cast<Pid>(processes_.size());
     stats_.emplace_back();
     crash_time_.push_back(kTimeNever);
@@ -250,7 +251,7 @@ class Simulation {
   }
 
   /// Rewinds the simulation to its just-constructed state while *keeping*
-  /// every heap buffer at capacity: the event heap's backing vector, the
+  /// every heap buffer at capacity: the event queue's node pool, the
   /// per-process stat/crash vectors, the linearization trace and the
   /// callback list are cleared but not freed.  This is the re-execution
   /// fast path for stateless exploration (mcheck runs the same scenario
@@ -362,45 +363,12 @@ class Simulation {
  private:
   struct Event {
     Time when;
-    std::uint64_t seq;  ///< FIFO tie-break => full determinism
-    Pid pid;
+    std::uint64_t seq;  ///< push order: the FIFO tie-break => determinism
     std::coroutine_handle<> handle;
-    AccessKind kind;        ///< what linearizes when this event resumes
     std::uint64_t reg_uid;  ///< register uid for kRead/kWrite; 0 otherwise
-    std::int64_t callback = -1;  ///< index into callbacks_; -1 = process event
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  /// Min-heap of pending events over a flat vector that is *pooled*: pop()
-  /// and clear() never release storage, so a simulation that is reset()
-  /// and re-driven (the mcheck fast path) reaches a steady state with zero
-  /// per-push allocations.  Ordering is identical to the
-  /// std::priority_queue<Event, vector, EventLater> it replaces.
-  class EventHeap {
-   public:
-    bool empty() const { return events_.empty(); }
-    std::size_t size() const { return events_.size(); }
-    const Event& top() const { return events_.front(); }
-    void push(const Event& event) {
-      events_.push_back(event);
-      std::push_heap(events_.begin(), events_.end(), EventLater{});
-    }
-    void pop() {
-      std::pop_heap(events_.begin(), events_.end(), EventLater{});
-      events_.pop_back();
-    }
-    void clear() { events_.clear(); }
-    /// Heap-ordered backing storage (diagnosis: pending_events()).
-    const std::vector<Event>& raw() const { return events_; }
-    std::size_t capacity() const { return events_.capacity(); }
-
-   private:
-    std::vector<Event> events_;
+    std::int64_t callback;  ///< index into callbacks_; -1 = process event
+    Pid pid;
+    AccessKind kind;  ///< what linearizes when this event resumes
   };
 
   enum class StepOutcome : std::uint8_t { kIdle, kOverLimit, kProgress };
@@ -416,6 +384,15 @@ class Simulation {
   /// Strategy-driven variant of the event-loop step: pops every event
   /// enabled at the earliest instant and lets the strategy pick.
   bool pop_next_event(Event& out, Time limit, bool& over_limit);
+  /// Runs scheduled callback `index` (each runs once).
+  void run_callback(std::int64_t index);
+  /// Moves the clock to `when`; the event queue's window follows it.
+  void advance_clock(Time when) {
+    now_ = when;
+    queue_.advance(when);
+  }
+  /// Every pending event, unordered (diagnosis and fingerprinting).
+  std::vector<Event> pending_copy() const;
   bool crashed_by(Pid pid, Time when) const {
     return crash_time_[static_cast<std::size_t>(pid)] <= when;
   }
@@ -427,7 +404,7 @@ class Simulation {
   RegisterSpace space_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventHeap queue_;
+  EventQueue<Event> queue_;
   /// Scratch for the strategy-driven step (pop_next_event): cleared and
   /// refilled every pick, never shrunk — per-step allocations would
   /// dominate mcheck's replay loop.

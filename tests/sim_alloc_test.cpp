@@ -119,6 +119,49 @@ TEST(SimAllocRegression, StrategyPathReachesSteadyState) {
   EXPECT_LE(steady, 8u);
 }
 
+/// Delays of up to 400 ticks, most of them beyond the event queue's
+/// 64-instant ring, so every run fills the overflow heap and drains it
+/// into the ring's slots.
+sim::Process far_sleeper(sim::Env env, sim::Register<int>& reg, int id) {
+  for (int i = 0; i < 24; ++i) {
+    const int seen = co_await env.read(reg);
+    co_await env.delay((seen * 37 + id * 11 + i * 53) % 400);
+    co_await env.write(reg, (seen + id + i) % 1000);
+  }
+}
+
+// The event queue's node pool (which also holds the overflow heap)
+// survives reset(): once a warm-up run has sized it, running the same
+// scenario again makes no allocation at all between the first and the
+// last event.
+TEST(SimAllocRegression, OverflowingDelaysReachZeroRunAllocations) {
+  sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1),
+                             sim::SimulationOptions{.seed = 1, .trace = true});
+  auto run_allocations = [&simulation] {
+    simulation.reset(1);
+    sim::Register<int> reg(simulation.space(), 0, "r");
+    for (int p = 0; p < 6; ++p)
+      simulation.spawn(
+          [&reg, p](sim::Env env) { return far_sleeper(env, reg, p); });
+    for (int c = 0; c < 8; ++c) simulation.schedule_callback(c * 150, [] {});
+    // Mid-run burst: more pending events than were queued before the
+    // measured window opens, so a queue that dropped its node pool at
+    // reset() would have to grow it again inside the window.
+    simulation.schedule_callback(10, [&simulation] {
+      for (int k = 0; k < 40; ++k)
+        simulation.schedule_callback(simulation.now() + (k * 29) % 300,
+                                     [] {});
+    });
+    const std::uint64_t before =
+        g_alloc_calls.load(std::memory_order_relaxed);
+    EXPECT_EQ(simulation.run(), sim::Simulation::RunResult::Idle);
+    return g_alloc_calls.load(std::memory_order_relaxed) - before;
+  };
+  run_allocations();  // warm-up: sizes the pool, heap and trace
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(run_allocations(), 0u) << "iteration " << i;
+}
+
 // --- ABD phase scratch: per-op allocations reach a steady state --------------
 
 /// Runs `ops` write+read pairs on one per-peer fast-read client, recording
