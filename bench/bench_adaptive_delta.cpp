@@ -7,7 +7,9 @@
 //   * a small assumed Δ is safe and fast: under steps that are usually
 //     1..20 but spike to 1000 2% of the time, consensus decides and
 //     Algorithm 3 enters its critical section far more often at Δ <= 50
-//     than at the pessimistic 1000, with zero violations at every Δ;
+//     than at the pessimistic 1000, with zero violations at every Δ
+//     (the mutex cell runs the shipped rt Algorithm 3 through the shim,
+//     mutex/workload_sim.hpp);
 //   * decision time tracks the environment, not the engineered worst
 //     case: under a fast/slow/fast regime drift the adaptive rows decide
 //     far faster than the static pessimistic-Δ row and complete more
@@ -37,7 +39,6 @@
 #include "tfr/msg/abd.hpp"
 #include "tfr/msg/adversary.hpp"
 #include "tfr/msg/convergence.hpp"
-#include "tfr/mutex/mutex_sim.hpp"
 #include "tfr/mutex/workload_sim.hpp"
 #include "tfr/sim/timing.hpp"
 
@@ -354,9 +355,7 @@ TFR_BENCH_EXPERIMENT(E21, "sections 1.2, 3.3 (adaptive optimistic delta)",
     std::uint64_t violations = 0;
     for (std::uint64_t seed = 0; seed < 5; ++seed) {
       const auto result = mutex::run_mutex_workload(
-          [assumed](sim::RegisterSpace& sp) {
-            return mutex::make_tfr_mutex_starvation_free(sp, 4, assumed);
-          },
+          [assumed] { return mutex::make_shim_lock("tfr(sf)", 4, assumed); },
           mutex::WorkloadConfig{.processes = 4,
                                 .sessions = 0,
                                 .cs_time = 20,

@@ -12,6 +12,14 @@
 // instantiation.  Expected shape: starvation-free rows constant in the
 // horizon; deadlock-free rows grow linearly with it (the slow process is
 // starved for the entire run).
+//
+// Unlike E6, E7, E9, E15 and E21, this experiment still runs the coroutine
+// ports (mutex_sim.hpp), not the shipped rt locks.  On the rt tfr(sf) lock
+// the same schedule starves two *fast* processes at the filter for the
+// whole horizon, with or without the burst, so the A=sf row reads like the
+// A=df row.  Algorithm 3's filter (lines 1-4) is Fischer's, which is not
+// starvation-free; whether a per-process wait measures Theorem 3.3 is an
+// open item (ROADMAP).
 
 #include <algorithm>
 #include <iostream>

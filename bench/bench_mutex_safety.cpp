@@ -7,12 +7,14 @@
 // 0.2.  Series: mutual-exclusion violations per 1000 CS entries.
 // Expected shape: Fischer's violation rate is 0 at p=0 and grows with p;
 // Algorithm 3's row is identically 0.
+//
+// Both locks are the shipped rt templates (mutex_rt.hpp), run as shim
+// threads under the simulated timing model (mutex/workload_sim.hpp).
 
 #include <iostream>
 #include <memory>
 
 #include "bench_util.hpp"
-#include "tfr/mutex/mutex_sim.hpp"
 #include "tfr/mutex/workload_sim.hpp"
 #include "tfr/sim/timing.hpp"
 
@@ -40,10 +42,9 @@ Cell measure(bool fischer, double p) {
       timing = std::move(injector);
     }
     const auto result = mutex::run_mutex_workload(
-        [fischer](sim::RegisterSpace& sp)
-            -> std::unique_ptr<mutex::SimMutex> {
-          if (fischer) return std::make_unique<mutex::FischerMutex>(sp, kDelta);
-          return mutex::make_tfr_mutex_starvation_free(sp, 4, kDelta);
+        [fischer] {
+          return mutex::make_shim_lock(fischer ? "fischer" : "tfr(sf)", 4,
+                                       kDelta);
         },
         WorkloadConfig{.processes = 4,
                        .sessions = 25,

@@ -9,13 +9,16 @@
 // latency / Delta.  Expected shape: tfr rows flat in n (small constant);
 // bakery rows grow ~linearly with n; everything scales linearly in Delta
 // (the /Delta column is Delta-invariant).
+//
+// Every lock is the shipped rt template (mutex_rt.hpp) run as shim threads
+// under the timing model (mutex/workload_sim.hpp).  Its await loops park on
+// an EventCount, and each await loads the epoch before testing its
+// predicate: one step more per await than the paper's pseudocode.
 
-#include <functional>
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "bench_util.hpp"
-#include "tfr/mutex/mutex_sim.hpp"
 #include "tfr/mutex/workload_sim.hpp"
 #include "tfr/sim/timing.hpp"
 
@@ -24,34 +27,10 @@ using mutex::WorkloadConfig;
 
 namespace {
 
-using Factory =
-    std::function<std::unique_ptr<mutex::SimMutex>(sim::RegisterSpace&)>;
-
-Factory make_algorithm(const std::string& name, int n, sim::Duration delta) {
-  if (name == "tfr(sf)") {
-    return [n, delta](sim::RegisterSpace& sp) {
-      return mutex::make_tfr_mutex_starvation_free(sp, n, delta);
-    };
-  }
-  if (name == "fischer") {
-    return [delta](sim::RegisterSpace& sp) {
-      return std::make_unique<mutex::FischerMutex>(sp, delta);
-    };
-  }
-  if (name == "bakery") {
-    return [n](sim::RegisterSpace& sp) {
-      return std::make_unique<mutex::BakeryMutex>(sp, n);
-    };
-  }
-  return [n](sim::RegisterSpace& sp) {
-    return std::make_unique<mutex::BlackWhiteBakeryMutex>(sp, n);
-  };
-}
-
 double solo_entry_latency(const std::string& name, int n,
                           sim::Duration delta) {
   const auto result = mutex::run_mutex_workload(
-      make_algorithm(name, n, delta),
+      [&] { return mutex::make_shim_lock(name, n, delta); },
       WorkloadConfig{.processes = 1, .sessions = 3, .cs_time = 1,
                      .ncs_time = 1},
       sim::make_fixed_timing(delta), 1, 1'000'000'000);
@@ -61,7 +40,7 @@ double solo_entry_latency(const std::string& name, int n,
 double contended_time_complexity(const std::string& name, int n,
                                  sim::Duration delta, std::uint64_t seed) {
   const auto result = mutex::run_mutex_workload(
-      make_algorithm(name, n, delta),
+      [&] { return mutex::make_shim_lock(name, n, delta); },
       WorkloadConfig{.processes = n, .sessions = 6, .cs_time = delta,
                      .ncs_time = delta, .randomize_ncs = true},
       sim::make_fixed_timing(delta), seed, 1'000'000'000);
@@ -128,7 +107,14 @@ TFR_BENCH_EXPERIMENT(E7, "section 3 efficiency", bench::Tier::kSmoke,
   rec.metric("tfr.contended.worst", tfr_worst_any_n, "delta");
   rec.metric("bakery.contended.n16_best", bakery_n16_best_delta, "delta");
   rec.expect(tfr_n128 == tfr_n2, "Algorithm 3 solo latency independent of n");
-  rec.expect(tfr_n2 <= 12.0,
+  // The solo entry path of the shipped tfr(sf) lock, one Delta per step
+  // (a later session, when the doorway's turn names another process):
+  //   filter   epoch load, read x, write x, delay(Delta), read x     5
+  //   doorway  write flag[i], epoch load, read turn, read flag[turn] 4
+  //   Lamport  write b[i], write x, read y, write y, read x          5
+  // Each await of an rt lock loads its EventCount epoch before it tests
+  // the predicate, hence two more steps than the 12 of the paper's path.
+  rec.expect(tfr_n2 <= 14.0,
              "Algorithm 3 solo latency a small multiple of Delta");
   rec.expect(bakery_n128 >= 10 * bakery_n2,
              "bakery solo latency grows ~linearly with n");

@@ -17,14 +17,16 @@
 // algorithms", cf. [25]): time-resilience with O(1) RMR is not obtained
 // by any algorithm in the paper, and this table shows it.  Consensus RMR
 // is a small constant (7) contention-free.
+//
+// The mutex rows run the shipped rt locks as shim threads
+// (mutex/workload_sim.hpp): a waiter parks on its lock layer's EventCount,
+// and every await first loads that epoch word.
 
-#include <functional>
 #include <iostream>
-#include <memory>
+#include <string>
 
 #include "bench_util.hpp"
 #include "tfr/core/consensus_sim.hpp"
-#include "tfr/mutex/mutex_sim.hpp"
 #include "tfr/mutex/workload_sim.hpp"
 #include "tfr/sim/timing.hpp"
 
@@ -36,56 +38,26 @@ namespace {
 constexpr sim::Duration kDelta = 100;
 
 double rmr_per_entry(const std::string& name, int n, std::uint64_t seed) {
-  sim::Simulation s(sim::make_uniform_timing(1, kDelta), {.seed = seed});
-  std::unique_ptr<mutex::SimMutex> algorithm;
-  if (name == "tfr(sf)") {
-    algorithm = mutex::make_tfr_mutex_starvation_free(s.space(), n, kDelta);
-  } else if (name == "fischer") {
-    algorithm = std::make_unique<mutex::FischerMutex>(s.space(), kDelta);
-  } else if (name == "bakery") {
-    algorithm = std::make_unique<mutex::BakeryMutex>(s.space(), n);
-  } else {
-    algorithm = std::make_unique<mutex::BlackWhiteBakeryMutex>(s.space(), n);
-  }
-  sim::MutexMonitor monitor;
-  const WorkloadConfig config{.processes = n,
-                              .sessions = 8,
-                              .cs_time = 20,
-                              .ncs_time = 40,
-                              .randomize_ncs = true};
-  for (int i = 0; i < n; ++i) {
-    s.spawn([&, i](sim::Env env) {
-      return mutex::mutex_sessions(env, *algorithm, monitor, i, config);
-    });
-  }
-  s.run(1'000'000'000);
-  std::uint64_t rmr = 0;
-  for (int i = 0; i < n; ++i) rmr += s.stats(i).rmr;
-  return static_cast<double>(rmr) /
-         static_cast<double>(monitor.cs_entries());
+  const auto result = mutex::run_mutex_workload(
+      [&] { return mutex::make_shim_lock(name, n, kDelta); },
+      WorkloadConfig{.processes = n,
+                     .sessions = 8,
+                     .cs_time = 20,
+                     .ncs_time = 40,
+                     .randomize_ncs = true},
+      sim::make_uniform_timing(1, kDelta), seed, 1'000'000'000);
+  return static_cast<double>(result.rmr) /
+         static_cast<double>(result.cs_entries);
 }
 
 double solo_rmr_per_entry(const std::string& name, int n) {
-  sim::Simulation s(sim::make_fixed_timing(kDelta));
-  std::unique_ptr<mutex::SimMutex> algorithm;
-  if (name == "tfr(sf)") {
-    algorithm = mutex::make_tfr_mutex_starvation_free(s.space(), n, kDelta);
-  } else if (name == "fischer") {
-    algorithm = std::make_unique<mutex::FischerMutex>(s.space(), kDelta);
-  } else if (name == "bakery") {
-    algorithm = std::make_unique<mutex::BakeryMutex>(s.space(), n);
-  } else {
-    algorithm = std::make_unique<mutex::BlackWhiteBakeryMutex>(s.space(), n);
-  }
-  sim::MutexMonitor monitor;
-  const WorkloadConfig config{
-      .processes = 1, .sessions = 4, .cs_time = 10, .ncs_time = 10};
-  s.spawn([&](sim::Env env) {
-    return mutex::mutex_sessions(env, *algorithm, monitor, 0, config);
-  });
-  s.run(1'000'000'000);
-  return static_cast<double>(s.stats(0).rmr) /
-         static_cast<double>(monitor.cs_entries());
+  const auto result = mutex::run_mutex_workload(
+      [&] { return mutex::make_shim_lock(name, n, kDelta); },
+      WorkloadConfig{
+          .processes = 1, .sessions = 4, .cs_time = 10, .ncs_time = 10},
+      sim::make_fixed_timing(kDelta), 1, 1'000'000'000);
+  return static_cast<double>(result.rmr) /
+         static_cast<double>(result.cs_entries);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ RT_FILES = (
     "src/registers/atomic_register.hpp",
     "src/registers/register_array.hpp",
     "src/common/pinned_slots.hpp",
-    # Adaptive controllers may be shared by rt threads (AtomicAimd), so
+    # Adaptive controllers may be shared by rt threads (Aimd), so
     # the whole directory — including the per-channel estimator and the
     # timeliness graph — carries the same annotation discipline.
     "src/adapt",

@@ -31,43 +31,16 @@ Duration grown_estimate(Duration estimate, const AimdConfig& config) {
 
 // ---------------------------------------------------------------------------
 // Aimd
+//
+// CAS loops instead of plain stores, all relaxed: the estimate is
+// advisory, so the only requirement is that each cell is itself untorn —
+// no cross-cell ordering carries meaning.
 
 Aimd::Aimd(Config config) : config_(config), estimate_(config.initial) {
   check_config(config);
 }
 
 void Aimd::handle_failure() {
-  clean_run_ = 0;
-  const Duration next = grown_estimate(estimate_, config_);
-  if (next > estimate_) {
-    estimate_ = next;
-    ++grows_;
-  }
-}
-
-void Aimd::handle_clean() {
-  if (++clean_run_ < config_.clean_threshold) return;
-  clean_run_ = 0;
-  const Duration next = estimate_ - config_.decay_step;
-  if (next >= config_.floor && next < estimate_) {
-    estimate_ = next;
-    ++decays_;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AtomicAimd
-//
-// Same update rules, CAS loops instead of plain stores.  All orders are
-// relaxed: the estimate is advisory, so the only requirement is that each
-// cell is itself untorn — no cross-cell ordering carries meaning.
-
-AtomicAimd::AtomicAimd(Config config)
-    : config_(config), estimate_(config.initial) {
-  check_config(config);
-}
-
-void AtomicAimd::handle_failure() {
   clean_run_.store(0, std::memory_order_relaxed);  // mo-ok: advisory estimate
   Duration estimate =
       estimate_.load(std::memory_order_relaxed);  // mo-ok: advisory estimate
@@ -83,7 +56,7 @@ void AtomicAimd::handle_failure() {
   }
 }
 
-void AtomicAimd::handle_clean() {
+void Aimd::handle_clean() {
   const int run =
       clean_run_.fetch_add(1, std::memory_order_relaxed) + 1;  // mo-ok: advisory
   if (run < config_.clean_threshold) return;

@@ -27,10 +27,8 @@
 //                         1/estimate, so a suspected timing failure grows
 //                         the estimate multiplicatively and sustained clean
 //                         progress decays it additively to probe faster
-//                         settings).  Single-threaded; the sim/service
-//                         policy.
-//   AtomicAimd          — the same discipline on lock-free atomics, for
-//                         controllers shared by real rt threads.
+//                         settings).  On relaxed atomics, so the sim and
+//                         service policy may also be shared by rt threads.
 //   TimelinessEstimator — per-channel step/RTT observations feeding a
 //                         windowed quantile (timeliness-graph style, after
 //                         Delporte-Gallet et al.): the estimate tracks what
@@ -55,7 +53,7 @@ using sim::Duration;
 
 /// The seam every Δ-consumer talks to.  Event counters live here so every
 /// policy reports the same statistics surface; they are relaxed atomics so
-/// one controller instance may be shared by real threads (AtomicAimd).
+/// one controller instance may be shared by real threads (Aimd).
 class DeltaController {
  public:
   virtual ~DeltaController() = default;
@@ -127,7 +125,7 @@ class DeltaController {
   std::atomic<std::uint64_t> observations_{0};    // raw-atomic-ok: statistics
 };
 
-/// Shared AIMD tuning knobs (Aimd and AtomicAimd).
+/// AIMD tuning knobs.
 struct AimdConfig {
   Duration initial = 1;     ///< starting estimate (slow start from tiny)
   Duration floor = 1;       ///< never probe below this
@@ -137,41 +135,18 @@ struct AimdConfig {
   int clean_threshold = 8;     ///< clean instances required before decaying
 };
 
-/// The TCP-style estimator, single-threaded (sim algorithms, the service
-/// frontend — everything on one virtual clock).
+/// The TCP-style estimator.  Its state is lock-free relaxed atomics, so one
+/// instance may be shared by every thread contending an rt lock as well as
+/// drive a single virtual clock (sim algorithms, the service frontend).
+/// Single-threaded, each signal applies the AIMD rule exactly; concurrent
+/// signals race only over which lands first, and every intermediate
+/// estimate stays in [floor, ceiling] — races cost tuning accuracy, never
+/// safety.
 class Aimd final : public DeltaController {
  public:
   using Config = AimdConfig;
 
   explicit Aimd(Config config);
-
-  Duration current() const override { return estimate_; }
-
-  std::uint64_t grows() const { return grows_; }
-  std::uint64_t decays() const { return decays_; }
-
- protected:
-  void handle_failure() override;
-  void handle_clean() override;
-
- private:
-  Config config_;
-  Duration estimate_;
-  int clean_run_ = 0;
-  std::uint64_t grows_ = 0;
-  std::uint64_t decays_ = 0;
-};
-
-/// The same AIMD discipline on lock-free atomics: one instance may be
-/// shared by every thread contending an rt lock.  Under no contention the
-/// update sequence is identical to Aimd's; concurrent updates race only
-/// over which signal lands first, and every intermediate estimate stays in
-/// [floor, ceiling] — races cost tuning accuracy, never safety.
-class AtomicAimd final : public DeltaController {
- public:
-  using Config = AimdConfig;
-
-  explicit AtomicAimd(Config config);
 
   Duration current() const override {
     return estimate_.load(std::memory_order_relaxed);  // mo-ok: advisory estimate

@@ -7,6 +7,7 @@
 
 #include "tfr/benchkit/forkmap.hpp"
 #include "tfr/common/contracts.hpp"
+#include "tfr/obs/byte_codec.hpp"
 
 namespace tfr::mcheck {
 
@@ -783,47 +784,40 @@ CheckResult Explorer::explore_subtree(const CheckScenario& scenario,
 
 // --- worker result wire format (fork_map payload) ------------------------
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
+using obs::codec::put_u64;
 
 void put_blob(std::string& out, const std::string& bytes) {
   put_u64(out, bytes.size());
   out += bytes;
 }
 
+/// The wire format's reader: a worker's payload is this process's own
+/// encoding, so a short or malformed one is a contract violation.
 class ByteReader {
  public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
+  explicit ByteReader(std::string_view bytes) : reader_(bytes) {}
 
   std::uint8_t u8() {
-    TFR_REQUIRE(pos_ < bytes_.size());
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
+    std::uint8_t v = 0;
+    TFR_REQUIRE(reader_.u8(v));
+    return v;
   }
 
   std::uint64_t u64() {
-    TFR_REQUIRE(pos_ + 8 <= bytes_.size());
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(bytes_[pos_ + static_cast<std::size_t>(i)]))
-           << (8 * i);
-    pos_ += 8;
+    TFR_REQUIRE(reader_.u64(v));
     return v;
   }
 
   std::string blob() {
     const std::uint64_t size = u64();
-    TFR_REQUIRE(size <= bytes_.size() - pos_);
-    std::string out(bytes_.substr(pos_, size));
-    pos_ += size;
+    std::string out;
+    TFR_REQUIRE(reader_.str(out, size));
     return out;
   }
 
  private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
+  obs::codec::Reader reader_;
 };
 
 std::string encode_result(const CheckResult& result) {

@@ -67,6 +67,17 @@ std::unique_ptr<BasicAtomicRegister<int, Atomics>[]> make_int_registers(
   return regs;
 }
 
+/// Raises a ticket statistic to `ticket` (a relaxed max: the statistic
+/// orders nothing).
+template <class Counter>
+void note_ticket(Counter& max_ticket, int ticket) {
+  int seen = max_ticket.load(std::memory_order_relaxed);  // mo-ok: statistic
+  while (seen < ticket &&
+         !max_ticket.compare_exchange_weak(
+             seen, ticket, std::memory_order_relaxed)) {  // mo-ok: statistic
+  }
+}
+
 }  // namespace detail
 
 // --------------------------------------------------------------------------
@@ -119,7 +130,7 @@ class BasicFischerRt final : public BasicRtMutex<Atomics> {
   /// Attaches an adaptive Δ controller: delay(Δ) waits the controller's
   /// current estimate, losing the Fischer check reports on_failure() and a
   /// first-try admission reports on_clean().  Share one controller across
-  /// threads only if it is thread-safe (adapt::AtomicAimd).  NOT advisory
+  /// threads only if it is thread-safe (adapt::Aimd).  NOT advisory
   /// here: Fischer's ME genuinely depends on the bound, so an optimistic
   /// estimate makes violations more likely — exactly the exposure
   /// Algorithm 3 (BasicTfrMutexRt) exists to remove.
@@ -225,6 +236,7 @@ class BasicBakeryRt final : public BasicRtMutex<Atomics> {
           std::max(max_seen, number_[static_cast<std::size_t>(j)].read());
     }
     const int mine = max_seen + 1;
+    detail::note_ticket(max_ticket_, mine);
     number_[static_cast<std::size_t>(id)].write(mine);
     choosing_[static_cast<std::size_t>(id)].write(0);
     events_.advance();
@@ -247,11 +259,18 @@ class BasicBakeryRt final : public BasicRtMutex<Atomics> {
 
   std::string name() const override { return "bakery"; }
 
+  /// Largest ticket ever taken (the boundedness contrast with the
+  /// black-white bakery).
+  int max_ticket() const {
+    return max_ticket_.load(std::memory_order_relaxed);  // mo-ok: statistic
+  }
+
  private:
   int n_;
   std::unique_ptr<BasicAtomicRegister<int, Atomics>[]> choosing_;
   std::unique_ptr<BasicAtomicRegister<int, Atomics>[]> number_;
   BasicEventCount<Atomics> events_;
+  typename Atomics::template counter<int> max_ticket_{0};
 };
 
 using BakeryRt = BasicBakeryRt<StdAtomics>;
@@ -287,6 +306,7 @@ class BasicBlackWhiteBakeryRt final : public BasicRtMutex<Atomics> {
         max_seen = std::max(max_seen, t.num);
     }
     const int mine = max_seen + 1;
+    detail::note_ticket(max_ticket_, mine);
     ticket_[static_cast<std::size_t>(id)].write(
         Ticket{static_cast<std::int32_t>(mycolor),
                static_cast<std::int32_t>(mine)});
@@ -318,6 +338,11 @@ class BasicBlackWhiteBakeryRt final : public BasicRtMutex<Atomics> {
 
   std::string name() const override { return "bw-bakery"; }
 
+  /// Largest ticket ever taken: at most n, the point of the colours.
+  int max_ticket() const {
+    return max_ticket_.load(std::memory_order_relaxed);  // mo-ok: statistic
+  }
+
  private:
   struct Ticket {
     std::int32_t color = 0;
@@ -330,6 +355,7 @@ class BasicBlackWhiteBakeryRt final : public BasicRtMutex<Atomics> {
   std::unique_ptr<BasicAtomicRegister<Ticket, Atomics>[]> ticket_;
   std::vector<int> mycolor_;
   BasicEventCount<Atomics> events_;
+  typename Atomics::template counter<int> max_ticket_{0};
 };
 
 using BlackWhiteBakeryRt = BasicBlackWhiteBakeryRt<StdAtomics>;
@@ -447,7 +473,7 @@ class BasicTfrMutexRt final : public BasicRtMutex<Atomics> {
   /// the controller's current estimate, a failed filter check reports
   /// on_failure() and a first-try admission reports on_clean().  Share one
   /// controller across threads only if it is thread-safe
-  /// (adapt::AtomicAimd).  Advisory: the inner algorithm A provides mutual
+  /// (adapt::Aimd).  Advisory: the inner algorithm A provides mutual
   /// exclusion under ANY timing, so a mistuned estimate costs retries,
   /// never safety — the mcheck mistuned-controller scenario verifies this.
   void set_delta_controller(adapt::DeltaController* controller) {

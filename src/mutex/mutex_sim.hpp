@@ -1,8 +1,12 @@
-// Mutual-exclusion algorithms — simulator edition.
+// Mutual-exclusion algorithms — simulator edition (coroutine ports).
 //
 // The paper's §3 builds its time-resilient mutex (Algorithm 3) by wrapping
 // an asynchronous *fast starvation-free* algorithm A inside Fischer's
-// timing-based filter.  This header provides every piece:
+// timing-based filter.  The shipped locks are the Atomics-policy templates
+// of mutex_rt.hpp, and the mutex experiments run those through the shim
+// (workload_sim.hpp).  This header keeps the coroutine ports that only the
+// sim model-checking fixtures (fischer-n2, tfr-mutex-n2,
+// tfr-mutex-mistuned-n2; mcheck/scenarios.cpp) and E8 still drive:
 //
 //   FischerMutex           — Algorithm 2: the timing-based filter itself.
 //                            ME + deadlock-freedom without timing failures;
@@ -10,10 +14,6 @@
 //   LamportFastMutex       — Lamport's fast mutex: asynchronous,
 //                            deadlock-free but NOT starvation-free; the
 //                            negative instantiation of A (Theorem 3.2).
-//   BakeryMutex            — Lamport's bakery: asynchronous,
-//                            starvation-free, FIFO, unbounded tickets.
-//   BlackWhiteBakeryMutex  — Taubenfeld's black-white bakery: asynchronous,
-//                            starvation-free, bounded tickets.
 //   StarvationFreeMutex    — the deadlock-free → starvation-free register
 //                            transformation the paper invokes (due to Yoah
 //                            Bar-David; cf. Taubenfeld's book, Problem
@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "tfr/adapt/controller.hpp"
 #include "tfr/sim/register.hpp"
@@ -100,55 +99,6 @@ class LamportFastMutex final : public SimMutex {
   sim::RegisterArray<int> b_;  ///< b[i]: i is trying
 };
 
-/// Lamport's bakery algorithm.  Asynchronous; starvation-free (FIFO);
-/// tickets grow without bound under perpetual contention.
-class BakeryMutex final : public SimMutex {
- public:
-  BakeryMutex(sim::RegisterSpace& space, int n);
-
-  sim::Task<void> enter(sim::Env env, int id) override;
-  sim::Task<void> exit(sim::Env env, int id) override;
-  std::string name() const override { return "bakery"; }
-
-  /// Largest ticket ever taken (observability for the boundedness contrast
-  /// with the black-white bakery).
-  int max_ticket() const { return max_ticket_; }
-
- private:
-  int n_;
-  sim::RegisterArray<int> choosing_;
-  sim::RegisterArray<int> number_;
-  int max_ticket_ = 0;
-};
-
-/// Taubenfeld's black-white bakery (DISC 2004): starvation-free like the
-/// bakery but with tickets bounded by the number of processes, achieved by
-/// colouring each generation of tickets with a shared colour bit.
-class BlackWhiteBakeryMutex final : public SimMutex {
- public:
-  BlackWhiteBakeryMutex(sim::RegisterSpace& space, int n);
-
-  sim::Task<void> enter(sim::Env env, int id) override;
-  sim::Task<void> exit(sim::Env env, int id) override;
-  std::string name() const override { return "bw-bakery"; }
-
-  int max_ticket() const { return max_ticket_; }
-
- private:
-  /// A (colour, number) pair held in one atomic register, as in the paper.
-  struct Ticket {
-    int color = 0;
-    int num = 0;  ///< 0 = not competing
-  };
-
-  int n_;
-  sim::Register<int> color_;          ///< the shared colour bit
-  sim::RegisterArray<int> choosing_;
-  sim::RegisterArray<Ticket> ticket_;
-  std::vector<int> mycolor_;          ///< per-process local memory
-  int max_ticket_ = 0;
-};
-
 /// The deadlock-free → starvation-free transformation (registers only).
 /// A doorway (flag array + round-robin turn register) throttles entry to
 /// the inner deadlock-free lock so the turn-holder cannot be bypassed
@@ -193,11 +143,6 @@ class TfrMutex final : public SimMutex {
 
   sim::Duration delta() const { return delta_; }
 
-  /// How often the Fischer filter admitted a process on its first attempt
-  /// (no retry loop) — the filter's efficiency signal for optimistic(Δ).
-  std::uint64_t first_try_admissions() const { return first_try_; }
-  std::uint64_t retried_admissions() const { return retried_; }
-
   /// Adaptive optimistic(Δ): the filter's delay waits for
   /// controller->current(); each failed check reports on_failure(), each
   /// first-try admission on_clean().  Purely advisory — mutual exclusion
@@ -213,8 +158,6 @@ class TfrMutex final : public SimMutex {
   adapt::DeltaController* controller_ = nullptr;
   std::unique_ptr<SimMutex> inner_;
   sim::Register<int> x_;  ///< Fischer's register: 0 = free, else id + 1
-  std::uint64_t first_try_ = 0;
-  std::uint64_t retried_ = 0;
 };
 
 /// Convenience factories for the two instantiations of Algorithm 3 the

@@ -49,7 +49,6 @@ sim::Task<void> TfrMutex::enter(sim::Env env, int id) {
     // contention is what TCP does too).
     if (controller_ != nullptr) controller_->on_failure();
   }
-  (first_attempt ? first_try_ : retried_) += 1;
   if (controller_ != nullptr && first_attempt) controller_->on_clean();
   co_await inner_->enter(env, id);
 }

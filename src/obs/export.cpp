@@ -6,6 +6,8 @@
 #include <set>
 #include <sstream>
 
+#include "tfr/obs/byte_codec.hpp"
+
 namespace tfr::obs {
 
 namespace {
@@ -66,60 +68,9 @@ KindInfo kind_info(EventKind kind) {
   return {"event", "misc", false};
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool u32(std::uint32_t& v) {
-    if (bytes_.size() - pos_ < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-
-  bool u8(std::uint8_t& v) {
-    if (bytes_.size() - pos_ < 1) return false;
-    v = static_cast<std::uint8_t>(bytes_[pos_]);
-    ++pos_;
-    return true;
-  }
-
-  bool u64(std::uint64_t& v) {
-    if (bytes_.size() - pos_ < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    pos_ += 8;
-    return true;
-  }
-
-  bool str(std::string& s, std::size_t len) {
-    if (bytes_.size() - pos_ < len) return false;
-    s.assign(bytes_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+using codec::put_u32;
+using codec::put_u64;
+using codec::Reader;
 
 }  // namespace
 

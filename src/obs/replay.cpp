@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "tfr/common/contracts.hpp"
+#include "tfr/obs/byte_codec.hpp"
 #include "tfr/obs/export.hpp"
 
 namespace tfr::obs {
@@ -14,70 +15,10 @@ namespace {
 
 constexpr char kRunMagic[8] = {'T', 'F', 'R', 'R', 'U', 'N', '0', '1'};
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool u32(std::uint32_t& v) {
-    if (bytes_.size() - pos_ < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-
-  bool u64(std::uint64_t& v) {
-    if (bytes_.size() - pos_ < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    pos_ += 8;
-    return true;
-  }
-
-  bool i64(std::int64_t& v) {
-    std::uint64_t u = 0;
-    if (!u64(u)) return false;
-    v = static_cast<std::int64_t>(u);
-    return true;
-  }
-
-  bool str(std::string& s, std::size_t len) {
-    if (bytes_.size() - pos_ < len) return false;
-    s.assign(bytes_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
-  bool byte(unsigned char& v) {
-    if (pos_ >= bytes_.size()) return false;
-    v = static_cast<unsigned char>(bytes_[pos_++]);
-    return true;
-  }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+using codec::put_i64;
+using codec::put_u32;
+using codec::put_u64;
+using codec::Reader;
 
 }  // namespace
 
@@ -182,9 +123,9 @@ std::optional<RecordedRun> RecordedRun::from_bytes(std::string_view bytes) {
   }
   Reader reader(bytes.substr(sizeof kRunMagic));
   RecordedRun run;
-  unsigned char kind_byte = 0;
+  std::uint8_t kind_byte = 0;
   std::uint32_t window_count = 0;
-  if (!reader.u64(run.seed) || !reader.byte(kind_byte) ||
+  if (!reader.u64(run.seed) || !reader.u8(kind_byte) ||
       !reader.i64(run.timing.lo) || !reader.i64(run.timing.hi) ||
       !reader.i64(run.timing.delta) || !reader.u32(window_count)) {
     return std::nullopt;
@@ -231,9 +172,9 @@ std::optional<RecordedRun> RecordedRun::from_bytes(std::string_view bytes) {
     if (!reader.u32(phase_count)) return std::nullopt;
     for (std::uint32_t i = 0; i < phase_count; ++i) {
       sim::TimingPhase phase;
-      unsigned char ramp_byte = 0;
+      std::uint8_t ramp_byte = 0;
       if (!reader.i64(phase.start) || !reader.i64(phase.lo) ||
-          !reader.i64(phase.hi) || !reader.byte(ramp_byte)) {
+          !reader.i64(phase.hi) || !reader.u8(ramp_byte)) {
         return std::nullopt;
       }
       phase.ramp = ramp_byte != 0;

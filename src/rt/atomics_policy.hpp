@@ -22,8 +22,9 @@
 // Policy surface (duck-typed; both policies provide):
 //   atomic<T>    — std::atomic-compatible cell (load/store/exchange/CAS/
 //                  fetch_add/wait/notify)
-//   counter<T>   — relaxed statistics counter (fetch_add/load); plain
-//                  under the shim, where the seam already serializes
+//   counter<T>   — relaxed statistics counter (fetch_add/load/
+//                  compare_exchange_weak); plain under the shim, where the
+//                  seam already serializes
 //   duration     — the delay(Δ) argument type (Nanos / sim ticks)
 //   thread       — companion thread facade (std::thread / shim::thread)
 //   kSpinBudget  — spin iterations before blocking (0 under the shim:

@@ -335,6 +335,15 @@ class serial_counter {
   T load(std::memory_order = std::memory_order_relaxed) const {
     return value_;
   }
+  bool compare_exchange_weak(T& expected, T desired,
+                             std::memory_order = std::memory_order_relaxed) {
+    if (value_ != expected) {
+      expected = value_;
+      return false;
+    }
+    value_ = desired;
+    return true;
+  }
 
  private:
   T value_{};

@@ -184,21 +184,17 @@ std::uint64_t mutex_workload_trace_hash(std::uint64_t seed) {
   auto injector = std::make_unique<sim::FailureInjector>(
       make_uniform_timing(1, kDelta), kDelta);
   injector->set_random_failures(0.1, 8 * kDelta);
-  sim::Simulation s(std::move(injector), {.seed = seed, .trace = true});
-  auto algorithm = mutex::make_tfr_mutex_starvation_free(s.space(), 3, kDelta);
-  sim::MutexMonitor mon;
-  const mutex::WorkloadConfig config{.processes = 3,
-                                     .sessions = 8,
-                                     .cs_time = 30,
-                                     .ncs_time = 40,
-                                     .randomize_ncs = true};
-  for (int i = 0; i < 3; ++i) {
-    s.spawn([&, i](sim::Env env) {
-      return mutex::mutex_sessions(env, *algorithm, mon, i, config);
-    });
-  }
-  s.run(1'000'000'000);
-  return s.trace_hash();
+  obs::TraceSink sink;
+  const auto result = mutex::run_mutex_workload(
+      [] { return mutex::make_shim_lock("tfr(sf)", 3, kDelta); },
+      mutex::WorkloadConfig{.processes = 3,
+                            .sessions = 8,
+                            .cs_time = 30,
+                            .ncs_time = 40,
+                            .randomize_ncs = true},
+      std::move(injector), seed, 1'000'000'000, &sink);
+  EXPECT_TRUE(result.completed);
+  return sink.hash();
 }
 
 TEST(Determinism, FullMutexWorkloadReplaysBitIdentically) {

@@ -258,16 +258,15 @@ TEST(TraceMonitor, FischerViolationAppearsInTrace) {
   obs::TraceSink sink;
   auto script = std::make_unique<sim::ScriptedTiming>(
       sim::make_fixed_timing(1));
-  script->push(0, 1);     // p0: read x = 0
+  script->push(0, 1, 2);  // p0: load the gate's epoch, read x = 0
   script->push(0, 1000);  // p0: write x := 1 stalls past Delta (preemption)
-  script->push(1, 2);     // p1: runs the whole gate meanwhile
+  script->push(1, 1);     // p1: runs the whole gate meanwhile
+  script->push(1, 2);
   script->push(1, 1);
   script->push(1, 1);
 
   const auto result = mutex::run_mutex_workload(
-      [](sim::RegisterSpace& sp) {
-        return std::make_unique<mutex::FischerMutex>(sp, kDelta);
-      },
+      [] { return mutex::make_shim_lock("fischer", 2, kDelta); },
       mutex::WorkloadConfig{.processes = 2,
                             .sessions = 1,
                             .cs_time = 5000,
