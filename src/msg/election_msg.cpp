@@ -1,6 +1,7 @@
 #include "tfr/msg/election_msg.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "tfr/common/contracts.hpp"
 
@@ -37,8 +38,9 @@ MsgElection::MsgElection(Network& net, int n, sim::Duration delta,
                          RetryPolicy policy)
     : net_(&net), n_(n), policy_(policy) {
   TFR_REQUIRE(n >= 1 && n <= (1 << kIdBits));
-  bits_.reserve(kIdBits);
-  for (int k = 0; k < kIdBits; ++k)
+  const int bits = std::bit_width(static_cast<unsigned>(n - 1));
+  bits_.reserve(static_cast<std::size_t>(bits));
+  for (int k = 0; k < bits; ++k)
     bits_.push_back(
         std::make_unique<MsgConsensus>(net, n, delta, bit_base(k), policy));
 }

@@ -12,7 +12,10 @@
 // MsgElection — resilient: agree on the leader id with the bitwise
 // multi-valued construction (agree_bitwise below, the reduction
 // rt::BasicRtMultiConsensus runs on shared memory) over MsgConsensus
-// instances (one per id bit, witnesses in ABD registers).  Safety never
+// instances (one per id bit, witnesses in ABD registers).  Ids lie in
+// [0, n), so ⌈log₂ n⌉ = bit_width(n - 1) bits suffice: every candidate,
+// adopted ones included, is < n, so at any higher bit all of them would
+// propose 0, validity would decide 0 and nobody would adopt.  Safety never
 // depends on delivery times; late messages only delay the outcome.
 
 #pragma once
@@ -79,10 +82,12 @@ class TimedElection {
 };
 
 /// Resilient election: bitwise agreement on the leader id over
-/// MsgConsensus instances sharing one ABD register space.
+/// bit_width(n - 1) MsgConsensus instances sharing one ABD register space.
 class MsgElection {
  public:
-  static constexpr int kIdBits = 10;  ///< up to 1024 node ids
+  /// Cap on the id width: up to 1024 node ids.  The register layout
+  /// reserves room for this many bits whatever n is.
+  static constexpr int kIdBits = 10;
 
   /// `policy` is handed to the AbdClients of participant() and to the
   /// per-bit MsgConsensus instances (no window by default).
@@ -93,11 +98,15 @@ class MsgElection {
   /// abd_server must be running.
   sim::Process participant(sim::Env env, int node);
 
-  /// Composable core.
+  /// Composable core: agrees on one of the proposed ids, each in [0, n).
   sim::Task<int> elect(sim::Env env, AbdClient& client, int id) {
-    return agree_bitwise(env, Registers{AbdAccess(client), this}, kIdBits,
+    TFR_REQUIRE(id >= 0 && id < n_);
+    return agree_bitwise(env, Registers{AbdAccess(client), this}, bits(),
                          id);
   }
+
+  /// Id bits agreed on (one MsgConsensus instance each): bit_width(n - 1).
+  int bits() const { return static_cast<int>(bits_.size()); }
 
   sim::DecisionMonitor& monitor() { return monitor_; }
 

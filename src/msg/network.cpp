@@ -18,11 +18,16 @@ Network::Network(sim::RegisterSpace& space, int endpoints)
           "ch." + std::to_string(from) + ">" + std::to_string(to)));
     }
   }
-  consumed_.assign(static_cast<std::size_t>(endpoints),
-                   std::vector<int>(static_cast<std::size_t>(endpoints), 0));
-  inbound_.assign(static_cast<std::size_t>(endpoints),
-                  std::vector<Inbound>(static_cast<std::size_t>(endpoints)));
-  poll_start_.assign(static_cast<std::size_t>(endpoints), 0);
+  const auto size = static_cast<std::size_t>(endpoints);
+  inbound_.resize(size * size);
+  for (int to = 0; to < endpoints; ++to) {
+    for (int from = 0; from < endpoints; ++from) {
+      inbound_[static_cast<std::size_t>(to) * size +
+               static_cast<std::size_t>(from)]
+          .channel = &channel(from, to);
+    }
+  }
+  poll_start_.assign(size, 0);
 }
 
 sim::Task<void> Network::send(sim::Env env, int self, int to, Message m) {
@@ -55,84 +60,88 @@ sim::Task<void> Network::multicast(sim::Env env, int self, int first,
   for (int to = first; to < last; ++to) co_await send(env, self, to, m);
 }
 
-sim::Task<std::optional<Message>> Network::try_recv(sim::Env env, int self) {
+sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
+                                                   sim::Time deadline,
+                                                   sim::Duration poll_every) {
   TFR_REQUIRE(self >= 0 && self < endpoints_);
-  auto& cursors = consumed_[static_cast<std::size_t>(self)];
-  auto& states = inbound_[static_cast<std::size_t>(self)];
-  const int start = poll_start_[static_cast<std::size_t>(self)];
-  for (int i = 0; i < endpoints_; ++i) {
-    const int from = (start + i) % endpoints_;
-    Channel& ch = channel(from, self);
-    Inbound& in = states[static_cast<std::size_t>(from)];
-    int& cursor = cursors[static_cast<std::size_t>(from)];
-    // Reliable fast path: nothing pending from the unreliable machinery
-    // and no adversary attached — identical to the original SPSC consume.
-    if (adversary_ == nullptr && in.ready.empty() && in.scanned == cursor) {
+  const auto row = static_cast<std::size_t>(self) *
+                   static_cast<std::size_t>(endpoints_);
+  int& start = poll_start_[static_cast<std::size_t>(self)];
+  for (;;) {
+    int from = start;
+    for (int i = 0; i < endpoints_; ++i) {
+      Inbound& in = inbound_[row + static_cast<std::size_t>(from)];
+      Channel& ch = *in.channel;
+      if (++from == endpoints_) from = 0;  // next sender, and the next start
+      // Reliable fast path: nothing pending from the unreliable machinery
+      // and no adversary attached — identical to the original SPSC consume.
+      if (adversary_ == nullptr && in.ready.empty() &&
+          in.scanned == in.consumed) {
+        const int tail = co_await env.read(ch.tail);
+        if (tail > in.consumed) {
+          const Message m = co_await env.read(
+              ch.slots.at(static_cast<std::size_t>(in.consumed)));
+          ++in.consumed;
+          in.scanned = in.consumed;
+          start = from;
+          co_return m;
+        }
+        continue;
+      }
+      // Unreliable path: classify newly published slots, then deliver the
+      // pending copy with the earliest delivery instant that has arrived.
       const int tail = co_await env.read(ch.tail);
-      if (tail > cursor) {
+      while (in.scanned < tail) {
+        const int slot = in.scanned++;
+        SlotMeta meta{};  // senders without a verdict deliver immediately
+        if (static_cast<std::size_t>(slot) < ch.meta.size())
+          meta = ch.meta[static_cast<std::size_t>(slot)];
+        if (meta.copies > 0)
+          in.ready.push_back({slot, meta.deliver_at, meta.copies});
+      }
+      const sim::Time now = env.now();
+      std::size_t best = in.ready.size();
+      for (std::size_t r = 0; r < in.ready.size(); ++r) {
+        const Inbound::Held& h = in.ready[r];
+        if (h.deliver_at > now) continue;
+        if (best == in.ready.size() ||
+            h.deliver_at < in.ready[best].deliver_at ||
+            (h.deliver_at == in.ready[best].deliver_at &&
+             h.slot < in.ready[best].slot)) {
+          best = r;
+        }
+      }
+      if (best != in.ready.size()) {
+        const int slot = in.ready[best].slot;
         const Message m =
-            co_await env.read(ch.slots.at(static_cast<std::size_t>(cursor)));
-        ++cursor;
-        in.scanned = cursor;
-        poll_start_[static_cast<std::size_t>(self)] = (from + 1) % endpoints_;
+            co_await env.read(ch.slots.at(static_cast<std::size_t>(slot)));
+        if (--in.ready[best].copies == 0)
+          in.ready.erase(in.ready.begin() + static_cast<std::ptrdiff_t>(best));
+        in.consumed = in.scanned;  // keep the fast-path cursor consistent
+        start = from;
         co_return m;
       }
-      continue;
     }
-    // Unreliable path: classify newly published slots, then deliver the
-    // pending copy with the earliest delivery instant that has arrived.
-    const int tail = co_await env.read(ch.tail);
-    while (in.scanned < tail) {
-      const int slot = in.scanned++;
-      SlotMeta meta{};  // senders without a verdict deliver immediately
-      if (static_cast<std::size_t>(slot) < ch.meta.size())
-        meta = ch.meta[static_cast<std::size_t>(slot)];
-      if (meta.copies > 0)
-        in.ready.push_back({slot, meta.deliver_at, meta.copies});
-    }
-    const sim::Time now = env.now();
-    std::size_t best = in.ready.size();
-    for (std::size_t r = 0; r < in.ready.size(); ++r) {
-      const Inbound::Held& h = in.ready[r];
-      if (h.deliver_at > now) continue;
-      if (best == in.ready.size() ||
-          h.deliver_at < in.ready[best].deliver_at ||
-          (h.deliver_at == in.ready[best].deliver_at &&
-           h.slot < in.ready[best].slot)) {
-        best = r;
-      }
-    }
-    if (best != in.ready.size()) {
-      const int slot = in.ready[best].slot;
-      const Message m =
-          co_await env.read(ch.slots.at(static_cast<std::size_t>(slot)));
-      if (--in.ready[best].copies == 0)
-        in.ready.erase(in.ready.begin() + static_cast<std::ptrdiff_t>(best));
-      cursor = in.scanned;  // keep the fast-path cursor consistent
-      poll_start_[static_cast<std::size_t>(self)] = (from + 1) % endpoints_;
-      co_return m;
-    }
+    if (env.now() >= deadline) co_return std::nullopt;
+    if (poll_every > 0) co_await env.delay(poll_every);
   }
-  co_return std::nullopt;
+}
+
+sim::Task<std::optional<Message>> Network::try_recv(sim::Env env, int self) {
+  return receive(env, self, env.now(), 1);
 }
 
 sim::Task<Message> Network::recv(sim::Env env, int self) {
-  for (;;) {
-    auto m = co_await try_recv(env, self);
-    if (m.has_value()) co_return *m;
-  }
+  const std::optional<Message> m =
+      co_await receive(env, self, sim::kTimeNever, 0);
+  co_return *m;
 }
 
 sim::Task<std::optional<Message>> Network::recv_until(sim::Env env, int self,
                                                       sim::Time deadline,
                                                       sim::Duration poll_every) {
   TFR_REQUIRE(poll_every >= 1);
-  for (;;) {
-    auto m = co_await try_recv(env, self);
-    if (m.has_value()) co_return m;
-    if (env.now() >= deadline) co_return std::nullopt;
-    co_await env.delay(poll_every);
-  }
+  return receive(env, self, deadline, poll_every);
 }
 
 }  // namespace tfr::msg

@@ -14,6 +14,14 @@
 // index so no inbound channel can be starved by sustained load on a
 // lower-numbered one.
 //
+// All three receive calls run one private receive loop: a sweep over the
+// receiver's row of a flat [receiver * endpoints + sender] table of
+// inbound state, built once by the constructor, then a pause between
+// empty sweeps until a deadline.  try_recv is one sweep, recv sweeps
+// without pause until a hit, recv_until pauses poll_every ticks.  A
+// receive call allocates its coroutine frame once; idle sweeps allocate
+// nothing.
+//
 // A NetAdversary attached via set_adversary() makes delivery unreliable:
 // each message's verdict (drop / duplicate / extra delay) is decided at
 // send time from a per-channel deterministic stream; the receiver's sweep
@@ -109,8 +117,12 @@ class Network {
     std::vector<SlotMeta> meta;  ///< sender-appended adversary verdicts
   };
 
-  /// Receiver-local per-channel delivery state (adversary path).
+  /// Receiver-local state of one inbound channel.
   struct Inbound {
+    Channel* channel = nullptr;
+    /// Reliable-path read cursor (with an adversary the scanned/ready
+    /// state supersedes it).
+    int consumed = 0;
     int scanned = 0;  ///< slots classified so far (<= observed tail)
     struct Held {
       int slot = 0;
@@ -120,6 +132,14 @@ class Network {
     std::vector<Held> ready;  ///< published, undelivered, not dropped
   };
 
+  /// The receive loop behind try_recv, recv and recv_until: sweeps every
+  /// inbound channel of `self` once from the rotating start; on an empty
+  /// sweep returns nullopt once now >= deadline, otherwise pauses
+  /// `poll_every` ticks (0 = sweep again at once) and sweeps again.
+  sim::Task<std::optional<Message>> receive(sim::Env env, int self,
+                                            sim::Time deadline,
+                                            sim::Duration poll_every);
+
   Channel& channel(int from, int to) {
     return *channels_[static_cast<std::size_t>(from) *
                           static_cast<std::size_t>(endpoints_) +
@@ -128,11 +148,9 @@ class Network {
 
   int endpoints_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  /// consumed_[receiver][sender]: receiver-local read cursors (reliable
-  /// path; with an adversary the Inbound state supersedes them).
-  std::vector<std::vector<int>> consumed_;
-  /// inbound_[receiver][sender]: adversary-path delivery state.
-  std::vector<std::vector<Inbound>> inbound_;
+  /// inbound_[receiver * endpoints + sender]: each receiver's row is the
+  /// table its sweeps walk.
+  std::vector<Inbound> inbound_;
   /// poll_start_[receiver]: rotating sweep start (fairness under load).
   std::vector<int> poll_start_;
   NetAdversary* adversary_ = nullptr;

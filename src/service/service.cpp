@@ -27,7 +27,7 @@ ServiceReport run_service(const ServiceConfig& config) {
   }
 
   // --- Boot: run until every shard's replicas agree on a leader.
-  s.run(config.limit, [&shards] {
+  s.run_until(config.limit, [&shards] {
     return std::all_of(shards.begin(), shards.end(),
                        [](const auto& shard) { return shard->elected(); });
   });
@@ -63,7 +63,7 @@ ServiceReport run_service(const ServiceConfig& config) {
   for (const auto& shard : shards) queues.push_back(&shard->queue());
   LoadGen gen(config.load, std::move(queues));
   s.spawn([&gen](sim::Env env) { return gen.run(env); }, s.now());
-  s.run(config.limit, [&] {
+  s.run_until(config.limit, [&] {
     return gen.finished() && report.served + gen.shed() == config.load.sessions;
   });
 

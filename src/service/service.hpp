@@ -38,6 +38,10 @@ struct ServiceConfig {
   int shards = 4;
   ShardConfig shard;  ///< template; id is overridden per shard
   LoadConfig load;
+  /// Seeds the simulator's access costs.  Not the shards'
+  /// NetAdversary verdicts: those are seeded by shard id alone
+  /// (0x5eed + id, shard.cpp), so every sim_seed meets the same
+  /// per-channel-slot drop/duplicate/delay pattern.
   std::uint64_t sim_seed = 1;
   sim::Duration step = 50;  ///< access-cost upper bound (the delta unit)
 
@@ -79,13 +83,18 @@ struct ServiceReport {
   std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;
   std::uint64_t deadline_flushes = 0;
+  /// ABD counters over every replica's client.  They include the boot
+  /// election's register operations, not only the leader's batch commits;
+  /// on a faulty network the boot's retries are a large share.
   std::uint64_t abd_operations = 0;
   std::uint64_t abd_retries = 0;
   std::uint64_t abd_fast_reads = 0;
   std::uint64_t abd_fast_read_misses = 0;
   std::uint64_t readback_mismatches = 0;
 
-  // Safety / convergence (aggregated over every shard's monitor).
+  // Safety / convergence (aggregated over every shard's monitor).  The
+  // monitors record every replica client's operations, so the checked
+  // histories include the boot election's registers too.
   bool linearizable = true;
   bool converged = true;
   std::uint64_t unfinished = 0;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "tfr/common/contracts.hpp"
@@ -397,6 +398,41 @@ TEST(MsgElectionTest, SingleLeaderUnderLateMessages) {
     EXPECT_TRUE(election.monitor().all_decided(n)) << "seed=" << seed;
     EXPECT_EQ(election.monitor().agreement_violations(), 0u)
         << "seed=" << seed;
+  }
+}
+
+// Ids lie in [0, n), so the election agrees on ⌈log₂ n⌉ bits — one
+// MsgConsensus instance each, none at all for a single node — still
+// decides one proposed id, and refuses an id outside [0, n).
+TEST(MsgElectionTest, AgreesOnCeilLog2NBits) {
+  const std::pair<int, int> cases[] = {{1, 0}, {2, 1}, {3, 2}, {5, 3}, {8, 3}};
+  for (const auto& [n, bits] : cases) {
+    sim::Simulation s(make_uniform_timing(1, kDelta), {.seed = 4});
+    Network net(s.space(), 2 * n);
+    MsgElection election(net, n, 60 * kDelta);
+    EXPECT_EQ(election.bits(), bits) << "n=" << n;
+    AbdClient outsider(net, 0, n);
+    EXPECT_THROW(static_cast<void>(election.elect(sim::Env{}, outsider, n)),
+                 ContractViolation)
+        << "n=" << n;
+    for (int i = 0; i < n; ++i) {
+      s.spawn([&election, i](sim::Env env) {
+        return election.participant(env, i);
+      });
+    }
+    for (int i = 0; i < n; ++i) {
+      s.spawn(
+          [&net, i, n](sim::Env env) { return abd_server(env, net, i, n); });
+    }
+    s.run(1'000'000'000, [&] {
+      return election.monitor().decided_count() == static_cast<std::size_t>(n);
+    });
+    ASSERT_TRUE(election.monitor().all_decided(n)) << "n=" << n;
+    EXPECT_EQ(election.monitor().agreement_violations(), 0u) << "n=" << n;
+    EXPECT_EQ(election.monitor().validity_violations(), 0u) << "n=" << n;
+    const int leader = election.monitor().decision(0);
+    EXPECT_GE(leader, 0) << "n=" << n;
+    EXPECT_LT(leader, n) << "n=" << n;
   }
 }
 

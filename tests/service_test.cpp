@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "tfr/adapt/controller.hpp"
 #include "tfr/obs/trace.hpp"
 #include "tfr/service/batcher.hpp"
 #include "tfr/service/loadgen.hpp"
 #include "tfr/service/queue.hpp"
 #include "tfr/service/service.hpp"
+#include "tfr/sim/timing.hpp"
 
 namespace tfr {
 namespace {
@@ -327,6 +332,77 @@ TEST(ServiceScenario, ReplicaFaultsAndPerPeerWindowsBehindTheSeam) {
   EXPECT_GT(estimator.channels(), 1u);      // ...keyed by replica index
 }
 
+// --- Boot: per-shard leaders ------------------------------------------
+
+/// The shard shape of the wall-clock benchmark's service workloads
+/// (bench/perf/service.cpp): E20's base configuration at seed 1, 4 shards
+/// x 3 replicas; `degraded` adds one slow and one lossy replica per shard.
+service::ServiceConfig perf_shape(bool degraded) {
+  constexpr sim::Duration kStep = 50;
+  msg::RetryPolicy policy;
+  policy.timeout = 40 * kStep;
+  policy.timeout_growth = 2.0;
+  policy.max_timeout = 320 * kStep;
+  policy.backoff = 2 * kStep;
+  policy.backoff_growth = 2.0;
+  policy.max_backoff = 40 * kStep;
+  policy.jitter = kStep;
+  policy.poll_every = 5;
+  service::ServiceConfig config;
+  config.shards = 4;
+  config.step = kStep;
+  config.sim_seed = 1;
+  config.shard.replicas = 3;
+  config.shard.delta = kStep;
+  config.shard.abd_retry = policy;
+  config.shard.batch.max_batch = 256;
+  config.shard.batch.max_wait = 4 * kStep;
+  config.shard.queue_capacity = degraded ? 512 : 4096;
+  config.shard.drain_hint = 8;
+  config.shard.poll_every = kStep;
+  if (degraded) {
+    msg::ChannelFaults slow;
+    slow.delay = 1.0;
+    slow.delay_min = 40 * kStep;
+    slow.delay_max = 60 * kStep;
+    msg::ChannelFaults lossy;
+    lossy.drop = 0.30;
+    config.shard.replica_faults.push_back({.replica = 1, .faults = slow});
+    config.shard.replica_faults.push_back({.replica = 2, .faults = lossy});
+  }
+  return config;
+}
+
+/// Boots `config`'s shards as run_service does and returns each shard's
+/// elected leader (-1 if it never elected one).
+std::vector<int> boot_leaders(const service::ServiceConfig& config) {
+  sim::Simulation s(sim::make_uniform_timing(1, config.step),
+                    {.seed = config.sim_seed});
+  std::vector<std::unique_ptr<service::Shard>> shards;
+  for (int k = 0; k < config.shards; ++k) {
+    service::ShardConfig sc = config.shard;
+    sc.id = k;
+    shards.push_back(std::make_unique<service::Shard>(s, sc));
+    shards.back()->spawn([](const service::Request&, sim::Time) {});
+  }
+  s.run_until(config.limit, [&shards] {
+    return std::all_of(shards.begin(), shards.end(),
+                       [](const auto& shard) { return shard->elected(); });
+  });
+  std::vector<int> leaders;
+  for (const auto& shard : shards) leaders.push_back(shard->leader());
+  return leaders;
+}
+
+// The boot election picks the replica each shard's load runs through and
+// the one an outage cuts.  These leaders were captured when the election
+// still agreed on ten id bits; agreeing on bit_width(n - 1) bits shifts
+// the boot's timing but must keep both workloads on the same replicas.
+TEST(ServiceBoot, BenchmarkShapesElectPinnedLeaders) {
+  EXPECT_EQ(boot_leaders(perf_shape(false)), (std::vector<int>{2, 2, 2, 2}));
+  EXPECT_EQ(boot_leaders(perf_shape(true)), (std::vector<int>{0, 0, 2, 0}));
+}
+
 // --- Determinism ------------------------------------------------------
 
 TEST(ServiceDeterminism, SameSeedReplaysByteIdentical) {
@@ -349,17 +425,18 @@ TEST(ServiceDeterminism, SameSeedReplaysByteIdentical) {
   }
 }
 
-// Golden pin: the traced run above hashes to a constant captured with the
-// binary-heap event queue, so a change to the simulator's same-instant
-// order fails here even though both runs of one binary would still agree.
+// Golden pin: the traced run above hashes to a constant, so a change to
+// the simulator's same-instant order fails here even though both runs of
+// one binary would still agree.  A change to what the run does (such as
+// how many id bits the boot election agrees on) re-captures it.
 TEST(ServiceDeterminism, TracedRunMatchesGoldenHash) {
   obs::TraceSink sink;
   service::ServiceConfig config = small_config(2'000);
   config.sink = &sink;
   const service::ServiceReport report = service::run_service(config);
   EXPECT_TRUE(report.complete());
-  EXPECT_EQ(sink.hash(), 0xda0d2e827dc8161aULL);
-  EXPECT_EQ(sink.size(), 38351u);
+  EXPECT_EQ(sink.hash(), 0xf49240fb3633b912ULL);
+  EXPECT_EQ(sink.size(), 18303u);
 }
 
 TEST(ServiceDeterminism, DifferentSeedsDiverge) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "tfr/adapt/controller.hpp"
@@ -229,16 +230,63 @@ TEST(SimAllocRegression, AbdPhasesReachSteadyStatePerOperation) {
   EXPECT_EQ(client.fast_reads(), static_cast<std::uint64_t>(kOps));
   EXPECT_EQ(client.fast_read_misses(), 0u);
   // After warm-up (ops 0 and 1) the count is flat — a band of 0 — at the
-  // coroutine frames of one write and one fast read.  A per-message heap
-  // name, RMR bit vector or container node would lift the ceiling or
+  // coroutine frames of one write and one fast read: one frame per receive
+  // call, not one per polling sweep.  A per-message heap name, RMR bit
+  // vector, container node or per-sweep frame would lift the ceiling or
   // break the band; so would cumulative growth.
-  constexpr std::uint64_t kSteadyAllocsPerOp = 80;
+  constexpr std::uint64_t kSteadyAllocsPerOp = 62;
   for (int i = 2; i < kOps; ++i) {
     EXPECT_EQ(per_op[static_cast<std::size_t>(i)], per_op[2]) << "op " << i;
     EXPECT_LE(per_op[static_cast<std::size_t>(i)], kSteadyAllocsPerOp)
         << "op " << i;
   }
   EXPECT_LE(per_op[2], per_op[0]) << "warm-up should dominate steady state";
+}
+
+// --- Network receive loop: idle sweeps allocate nothing ----------------------
+
+sim::Process idle_receiver(sim::Env env, msg::Network& net, bool paced,
+                           std::int64_t* got) {
+  if (paced) {
+    const std::optional<msg::Message> m =
+        co_await net.recv_until(env, 0, sim::kTimeNever, 3);
+    *got = m.has_value() ? m->value : -1;
+  } else {
+    const msg::Message m = co_await net.recv(env, 0);
+    *got = m.value;
+  }
+}
+
+sim::Process late_sender(sim::Env env, msg::Network& net, sim::Duration at) {
+  co_await env.delay(at);
+  msg::Message m;
+  m.value = 7;
+  co_await net.send(env, 1, 0, m);
+}
+
+// A receive call allocates its coroutine frame once.  The sweeps that find
+// every inbound channel empty — recv's back-to-back ones and recv_until's
+// paced ones — allocate nothing, however long the receiver idles.
+TEST(SimAllocRegression, IdleReceiveSweepsAllocateNothing) {
+  for (const bool paced : {false, true}) {
+    sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1),
+                               sim::SimulationOptions{.seed = 3});
+    msg::Network net(simulation.space(), 4);
+    std::int64_t got = 0;
+    simulation.spawn([&net, paced, &got](sim::Env env) {
+      return idle_receiver(env, net, paced, &got);
+    });
+    simulation.spawn(
+        [&net](sim::Env env) { return late_sender(env, net, 20'000); });
+    simulation.run(100);  // warm-up: frames, the first sweeps, event pool
+    const std::uint64_t before =
+        g_alloc_calls.load(std::memory_order_relaxed);
+    simulation.run(19'000);  // thousands of empty sweeps
+    EXPECT_EQ(g_alloc_calls.load(std::memory_order_relaxed) - before, 0u)
+        << (paced ? "recv_until" : "recv");
+    EXPECT_EQ(simulation.run(), sim::Simulation::RunResult::Idle);
+    EXPECT_EQ(got, 7);
+  }
 }
 
 }  // namespace
