@@ -24,7 +24,7 @@ void Simulation::reset(std::uint64_t seed) {
   processes_.clear();
   stats_.clear();
   crash_time_.clear();
-  crash_access_limit_.clear();
+  control_.clear();
   callbacks_.clear();
   trace_.clear();
   pending_exception_ = nullptr;
@@ -59,6 +59,9 @@ bool Simulation::pop_next_event(Event& out, Time limit, bool& over_limit) {
         run_callback(event.callback);
         continue;
       }
+      // A retired wake is no option.  A live one is claimed now, so a
+      // same-instant unpark() cannot move it; a loser keeps its epoch.
+      if (event.kind == AccessKind::kWake && !claim_wake(event)) continue;
       if (crashed_by(event.pid, event.when)) {
         stats_[static_cast<std::size_t>(event.pid)].crashed = true;
         emit({crash_time_[static_cast<std::size_t>(event.pid)], event.pid,
@@ -71,8 +74,10 @@ bool Simulation::pop_next_event(Event& out, Time limit, bool& over_limit) {
     std::sort(ready.begin(), ready.end(),
               [](const Event& a, const Event& b) { return a.pid < b.pid; });
     options.clear();
-    for (const Event& e : ready)
-      options.push_back(EnabledEvent{e.pid, e.kind, e.reg_uid});
+    for (const Event& e : ready) {
+      options.push_back(EnabledEvent{
+          e.pid, e.kind, e.kind == AccessKind::kWake ? 0 : e.reg_uid});
+    }
     const std::size_t chosen = options_.strategy->pick(when, options);
     TFR_REQUIRE(chosen < ready.size());
     for (std::size_t i = 0; i < ready.size(); ++i) {
@@ -103,6 +108,8 @@ Simulation::StepOutcome Simulation::run_step(Time limit) {
         // A callback counts as progress: the caller's stop predicate runs.
         return StepOutcome::kProgress;
       }
+      // Retired wakes are skipped like crash skips, without a stop check.
+      if (event.kind == AccessKind::kWake && !claim_wake(event)) continue;
       if (crashed_by(event.pid, event.when)) {
         // The access would have linearized at or after the crash instant:
         // it never takes effect and the process takes no further steps.
@@ -160,7 +167,7 @@ void Simulation::crash_at(Pid pid, Time t) {
 
 void Simulation::crash_after_accesses(Pid pid, std::uint64_t k) {
   TFR_REQUIRE(pid >= 0 && static_cast<std::size_t>(pid) < processes_.size());
-  crash_access_limit_[static_cast<std::size_t>(pid)] = k;
+  control_[static_cast<std::size_t>(pid)].access_limit = k;
 }
 
 const ProcessStats& Simulation::stats(Pid pid) const {
@@ -178,7 +185,9 @@ bool Simulation::all_done() const {
 std::vector<Simulation::Event> Simulation::pending_copy() const {
   std::vector<Event> copy;
   copy.reserve(queue_.size());
-  queue_.for_each([&copy](const Event& e) { copy.push_back(e); });
+  queue_.for_each([this, &copy](const Event& e) {
+    if (e.kind != AccessKind::kWake || !stale_wake(e)) copy.push_back(e);
+  });
   return copy;
 }
 
@@ -220,7 +229,8 @@ std::uint64_t Simulation::state_fingerprint() const {
     mix(static_cast<std::uint64_t>(e.when - now_));
     mix(static_cast<std::uint64_t>(e.pid));
     mix(static_cast<std::uint64_t>(e.kind));
-    mix(e.reg_uid);
+    // A wake's epoch counts parks along the path, not state.
+    mix(e.kind == AccessKind::kWake ? 0 : e.reg_uid);
     mix(static_cast<std::uint64_t>(e.callback >= 0 ? 1 : 0));
   }
   // Per-process accounting: the op-count proxy for each coroutine's
@@ -259,7 +269,8 @@ std::uint64_t Simulation::trace_hash() const {
 
 void Simulation::schedule_access(Pid pid, std::coroutine_handle<> h,
                                  std::uint64_t reg_uid, bool is_write) {
-  auto& limit = crash_access_limit_[static_cast<std::size_t>(pid)];
+  const std::uint64_t limit =
+      control_[static_cast<std::size_t>(pid)].access_limit;
   if (stats_[static_cast<std::size_t>(pid)].accesses() >= limit) {
     // crash_after_accesses: the process silently stops before this access.
     stats_[static_cast<std::size_t>(pid)].crashed = true;
@@ -276,6 +287,28 @@ void Simulation::schedule_access(Pid pid, std::coroutine_handle<> h,
 void Simulation::schedule_delay(Pid pid, Duration d, std::coroutine_handle<> h) {
   // delay(d) takes exactly d time units (paper §1.2 accounting).
   push_event(now_ + d, pid, h, AccessKind::kDelay, 0);
+}
+
+void Simulation::park(Pid pid, std::coroutine_handle<> h, Time deadline) {
+  TFR_REQUIRE(deadline >= now_);
+  Park& park = control_[static_cast<std::size_t>(pid)].park;
+  TFR_REQUIRE(!park.handle);
+  park.handle = h;
+  park.wake_at = deadline;
+  ++park.epoch;
+  if (deadline != kTimeNever)
+    push_event(deadline, pid, h, AccessKind::kWake, park.epoch);
+}
+
+bool Simulation::unpark(Pid pid, Time when) {
+  Park& park = control_[static_cast<std::size_t>(pid)].park;
+  if (!park.handle) return false;
+  when = std::max(when, now_);
+  if (when >= park.wake_at) return false;
+  park.wake_at = when;
+  ++park.epoch;  // retires the queued wake, if any
+  push_event(when, pid, park.handle, AccessKind::kWake, park.epoch);
+  return true;
 }
 
 void Simulation::on_process_done(Pid pid, std::exception_ptr exception) noexcept {

@@ -44,6 +44,7 @@ enum class AccessKind : std::uint8_t {
   kRead = 1,   ///< a register read linearizes
   kWrite = 2,  ///< a register write linearizes
   kDelay = 3,  ///< a delay(d) completes (no shared access)
+  kWake = 4,   ///< a parked process wakes (no shared access; see park())
 };
 
 /// One event that is enabled (due to linearize at the current instant).
@@ -51,7 +52,7 @@ struct EnabledEvent {
   Pid pid = -1;
   AccessKind kind = AccessKind::kStart;
   /// Stable register uid (RegisterSpace allocation order) for
-  /// kRead/kWrite; 0 for kStart/kDelay.
+  /// kRead/kWrite; 0 for kStart/kDelay/kWake.
   std::uint64_t reg = 0;
 };
 
@@ -239,7 +240,7 @@ class Simulation {
     const Pid pid = static_cast<Pid>(processes_.size());
     stats_.emplace_back();
     crash_time_.push_back(kTimeNever);
-    crash_access_limit_.push_back(std::uint64_t(-1));
+    control_.emplace_back();
     Env env(this, pid);
     processes_.push_back(std::forward<Factory>(factory)(env));
     Process::Handle h = processes_.back().handle();
@@ -252,7 +253,7 @@ class Simulation {
 
   /// Rewinds the simulation to its just-constructed state while *keeping*
   /// every heap buffer at capacity: the event queue's node pool, the
-  /// per-process stat/crash vectors, the linearization trace and the
+  /// per-process stat/crash/park vectors, the linearization trace and the
   /// callback list are cleared but not freed.  This is the re-execution
   /// fast path for stateless exploration (mcheck runs the same scenario
   /// hundreds of thousands of times): reconstructing a Simulation per run
@@ -355,6 +356,16 @@ class Simulation {
   void schedule_access(Pid pid, std::coroutine_handle<> h,
                        std::uint64_t reg_uid, bool is_write);
   void schedule_delay(Pid pid, Duration d, std::coroutine_handle<> h);
+  /// Suspends `pid`, which has no pending event, until unpark() or
+  /// `deadline` (kTimeNever = no deadline), whichever comes first.  A
+  /// parked process costs no event until it wakes; with no deadline and
+  /// no unpark it never runs again, and the run may go Idle.
+  void park(Pid pid, std::coroutine_handle<> h, Time deadline);
+  /// Wakes parked `pid` at max(when, now) unless it already wakes no
+  /// later; returns whether this call moved its wake-up earlier.  A no-op
+  /// for a process that is not parked.  The retired deadline wake stays
+  /// queued but is skipped as stale: each wake carries its park's epoch.
+  bool unpark(Pid pid, Time when);
   void on_process_done(Pid pid, std::exception_ptr exception) noexcept;
   void note_read(Pid pid, bool remote);
   void note_write(Pid pid);
@@ -365,7 +376,9 @@ class Simulation {
     Time when;
     std::uint64_t seq;  ///< push order: the FIFO tie-break => determinism
     std::coroutine_handle<> handle;
-    std::uint64_t reg_uid;  ///< register uid for kRead/kWrite; 0 otherwise
+    /// Register uid for kRead/kWrite, the park epoch for kWake; 0
+    /// otherwise.
+    std::uint64_t reg_uid;
     std::int64_t callback;  ///< index into callbacks_; -1 = process event
     Pid pid;
     AccessKind kind;  ///< what linearizes when this event resumes
@@ -396,6 +409,17 @@ class Simulation {
   bool crashed_by(Pid pid, Time when) const {
     return crash_time_[static_cast<std::size_t>(pid)] <= when;
   }
+  /// A kWake event retired by a later unpark (or already consumed).
+  bool stale_wake(const Event& e) const {
+    return e.reg_uid != control_[static_cast<std::size_t>(e.pid)].park.epoch;
+  }
+  /// Takes a live kWake event: the process is no longer parked, so a
+  /// later unpark() is a no-op.  Returns false for a stale one.
+  bool claim_wake(const Event& e) {
+    if (stale_wake(e)) return false;
+    control_[static_cast<std::size_t>(e.pid)].park.handle = {};
+    return true;
+  }
   void note_trace(Pid pid, char kind);
 
   std::unique_ptr<TimingModel> timing_;
@@ -413,7 +437,21 @@ class Simulation {
   std::vector<Process> processes_;
   std::vector<ProcessStats> stats_;
   std::vector<Time> crash_time_;
-  std::vector<std::uint64_t> crash_access_limit_;
+  /// Per-process park state.  `epoch` names the live wake event: it is
+  /// bumped by each park() and by each unpark() that moves the wake-up,
+  /// so every queued kWake with an older epoch is stale.
+  struct Park {
+    std::coroutine_handle<> handle{};  ///< null while not parked
+    Time wake_at = kTimeNever;         ///< the live wake's instant
+    std::uint64_t epoch = 0;
+  };
+  /// Per-process control state, beside the crash instants that every
+  /// event reads: crash_after_accesses's budget and the park state.
+  struct Control {
+    std::uint64_t access_limit = std::uint64_t(-1);
+    Park park;
+  };
+  std::vector<Control> control_;
   std::exception_ptr pending_exception_{};
   std::vector<std::function<void()>> callbacks_;
   struct TraceEvent {

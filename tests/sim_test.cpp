@@ -343,6 +343,145 @@ TEST(Simulation, CrashedProcessDoesNotBlockOthers) {
   EXPECT_EQ(s.stats(1).writes, 5u);
 }
 
+// --- Park / unpark ---------------------------------------------------------
+
+struct ParkAwaiter {
+  Simulation* sim;
+  Pid pid;
+  Time deadline;
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    sim->park(pid, h, deadline);
+  }
+  void await_resume() const noexcept {}
+};
+
+// Parks with `first` as deadline, notes the wake instant, then parks for
+// good: a second resume would note a second instant.
+Process park_twice(Env env, Time first, std::vector<Time>& woke) {
+  co_await ParkAwaiter{&env.sim(), env.pid(), first};
+  woke.push_back(env.now());
+  co_await ParkAwaiter{&env.sim(), env.pid(), kTimeNever};
+  woke.push_back(env.now());
+}
+
+// Picks the first enabled option: the strategy-driven step, FIFO-like.
+class PickFirstOption final : public SchedulerStrategy {
+ public:
+  std::size_t pick(Time, const std::vector<EnabledEvent>& options) override {
+    for (const EnabledEvent& e : options) {
+      if (e.kind == AccessKind::kWake) {
+        EXPECT_EQ(e.reg, 0u);  // the epoch stays inside the simulator
+        ++wakes;
+      }
+    }
+    return 0;
+  }
+  int wakes = 0;
+};
+
+class SimParkStep : public ::testing::TestWithParam<bool> {};
+
+// A deadline wake retired by an earlier unpark is skipped when its
+// instant comes, on the FIFO step and on the strategy-driven one.
+TEST_P(SimParkStep, StaleDeadlineWakeIsSkipped) {
+  PickFirstOption strategy;
+  Simulation s(make_fixed_timing(1),
+               {.strategy = GetParam() ? &strategy : nullptr});
+  std::vector<Time> woke;
+  s.spawn([&](Env env) { return park_twice(env, 100, woke); });
+  s.schedule_callback(10, [&] { EXPECT_TRUE(s.unpark(0, 20)); });
+  s.schedule_callback(15, [&] { EXPECT_FALSE(s.unpark(0, 30)); });
+  EXPECT_EQ(s.run(), Simulation::RunResult::Idle);
+  EXPECT_EQ(woke, (std::vector<Time>{20}));  // not again at 100
+  EXPECT_FALSE(s.stats(0).done());
+  if (GetParam()) {
+    EXPECT_EQ(strategy.wakes, 1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Steps, SimParkStep, ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return info.param ? "Strategy" : "Fifo";
+                         });
+
+TEST(SimPark, DeadlineWakesWithoutUnpark) {
+  Simulation s(make_fixed_timing(1));
+  std::vector<Time> woke;
+  s.spawn([&](Env env) { return park_twice(env, 40, woke); }, 5);
+  EXPECT_EQ(s.run(), Simulation::RunResult::Idle);
+  EXPECT_EQ(woke, (std::vector<Time>{40}));
+  EXPECT_EQ(s.stats(0).delays, 0u);  // a park is no delay statement
+}
+
+TEST(SimPark, UnparkOfAProcessThatIsNotParkedIsANoOp) {
+  Simulation s(make_fixed_timing(10));
+  Cell c(s.space());
+  s.spawn([&](Env env) { return writer_process(env, c.reg, 1, 2); });
+  EXPECT_FALSE(s.unpark(0, 0));  // not started yet
+  EXPECT_EQ(s.run(5), Simulation::RunResult::TimeLimit);
+  const auto pending = s.pending_events();
+  EXPECT_FALSE(s.unpark(0, 6));  // mid-access
+  EXPECT_EQ(s.pending_events(), pending);
+  EXPECT_EQ(s.run(), Simulation::RunResult::Idle);
+  EXPECT_FALSE(s.unpark(0, s.now()));  // finished
+  EXPECT_EQ(s.stats(0).writes, 2u);
+  EXPECT_EQ(s.now(), 20);
+}
+
+TEST(SimPark, ProcessCrashedWhileParkedIsNeverResumed) {
+  Simulation s(make_fixed_timing(1));
+  std::vector<Time> woke;
+  s.spawn([&](Env env) { return park_twice(env, kTimeNever, woke); });
+  EXPECT_EQ(s.run(0), Simulation::RunResult::Idle);  // parked, no event
+  s.crash_at(0, 5);
+  s.schedule_callback(10, [&] { EXPECT_TRUE(s.unpark(0, 10)); });
+  s.schedule_callback(20, [&] { EXPECT_FALSE(s.unpark(0, 20)); });
+  EXPECT_EQ(s.run(), Simulation::RunResult::Idle);
+  EXPECT_TRUE(woke.empty());
+  EXPECT_TRUE(s.stats(0).crashed);
+}
+
+TEST(SimPark, ResetDropsParkState) {
+  Simulation s(make_fixed_timing(1));
+  std::vector<Time> woke;
+  s.spawn([&](Env env) { return park_twice(env, 50, woke); });
+  EXPECT_EQ(s.run(0), Simulation::RunResult::TimeLimit);
+  s.reset(1);
+  Register<int> reg(s.space(), 0);
+  s.spawn([&](Env env) { return writer_process(env, reg, 1, 3); });
+  EXPECT_FALSE(s.unpark(0, 0));  // the new pid 0 is not parked
+  EXPECT_EQ(s.run(), Simulation::RunResult::Idle);
+  EXPECT_TRUE(woke.empty());
+  EXPECT_EQ(s.stats(0).writes, 3u);
+  EXPECT_EQ(s.now(), 3);
+  EXPECT_TRUE(s.pending_events().empty());
+}
+
+// Two runs that differ only in a retired wake still queued in one of
+// them: the same state, so the same signature and pending view.
+TEST(SimPark, FingerprintIgnoresStaleWakes) {
+  auto parked_at_20 = [](Time first_deadline, bool unpark) {
+    auto s = std::make_unique<Simulation>(make_fixed_timing(1));
+    auto woke = std::make_shared<std::vector<Time>>();
+    s->spawn([woke, first_deadline](Env env) {
+      return park_twice(env, first_deadline, *woke);
+    });
+    EXPECT_EQ(s->run(0), Simulation::RunResult::TimeLimit);
+    if (unpark) {
+      EXPECT_TRUE(s->unpark(0, 20));
+    }
+    return std::make_pair(s->state_fingerprint(), s->pending_events());
+  };
+  const auto with_stale = parked_at_20(100, true);
+  const auto without = parked_at_20(20, false);
+  EXPECT_EQ(with_stale.first, without.first);
+  EXPECT_EQ(with_stale.second, without.second);
+  EXPECT_EQ(without.second,
+            (std::vector<std::pair<Time, Pid>>{{20, 0}}));
+}
+
 Process thrower(Env env, Register<int>& reg) {
   co_await env.write(reg, 1);
   TFR_REQUIRE(!"boom");
