@@ -162,6 +162,8 @@ CheckScenario make_abd_scenario(AbdScenarioConfig config) {
       // replica's silence may stall an op past the step bound).
       if (!state->monitor.check().linearizable)
         return {false, "ABD history not linearizable"};
+      if (state->net->lost_wakeups() != 0)
+        return {false, "a parked receiver missed a send"};
       return {};
     };
     return harness;

@@ -1,5 +1,7 @@
 #include "tfr/msg/network.hpp"
 
+#include <algorithm>
+#include <coroutine>
 #include <string>
 
 #include "tfr/common/contracts.hpp"
@@ -28,7 +30,24 @@ Network::Network(sim::RegisterSpace& space, int endpoints)
     }
   }
   poll_start_.assign(size, 0);
+  parked_.resize(size);
 }
+
+namespace {
+
+/// Parks the awaiting receiver until Network::send or `deadline` wakes it.
+struct ParkAwaiter {
+  sim::Env env;
+  sim::Time deadline;
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    env.sim().park(env.pid(), h, deadline);
+  }
+  void await_resume() const noexcept {}
+};
+
+}  // namespace
 
 sim::Task<void> Network::send(sim::Env env, int self, int to, Message m) {
   TFR_REQUIRE(self >= 0 && self < endpoints_);
@@ -53,6 +72,15 @@ sim::Task<void> Network::send(sim::Env env, int self, int to, Message m) {
   co_await env.write(ch.slots.at(static_cast<std::size_t>(slot)), m);
   co_await env.write(ch.tail, slot + 1);
   ++sent_;
+  // The tail write invalidated the parked receiver's copy of this tail:
+  // wake it now, or at the end of its poll pause, and have it read here
+  // first — unless it already wakes no later.
+  Parked& parked = parked_[static_cast<std::size_t>(to)];
+  if (parked.pid >= 0) {
+    parked.signalled = true;
+    if (env.sim().unpark(parked.pid, std::max(env.now(), parked.not_before)))
+      parked.first = self;
+  }
 }
 
 sim::Task<void> Network::multicast(sim::Env env, int self, int first,
@@ -123,8 +151,60 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
       }
     }
     if (env.now() >= deadline) co_return std::nullopt;
-    if (poll_every > 0) co_await env.delay(poll_every);
+    // Check-and-park: a tail that moved since the sweep read it means a
+    // send landed mid-sweep (its unpark found nobody parked), so sweep
+    // again from that sender.  Otherwise every line is unchanged and
+    // re-reading it would hit the cache: park until a send, the earliest
+    // held slot or the deadline, and never before the poll pause ends.
+    int moved = -1;
+    int held_from = -1;
+    sim::Time held_at = sim::kTimeNever;
+    for (int i = 0, from = start; i < endpoints_; ++i) {
+      const Inbound& in = inbound_[row + static_cast<std::size_t>(from)];
+      // untimed-ok: the park's atomic re-check, like a futex's compare
+      if (in.channel->tail.peek() != in.scanned) {
+        moved = from;
+        break;
+      }
+      for (const Inbound::Held& h : in.ready) {
+        if (h.deliver_at < held_at) {
+          held_at = h.deliver_at;
+          held_from = from;
+        }
+      }
+      if (++from == endpoints_) from = 0;
+    }
+    if (moved >= 0) {
+      start = moved;
+      if (poll_every > 0) co_await env.delay(poll_every);
+      continue;
+    }
+    Parked& parked = parked_[static_cast<std::size_t>(self)];
+    parked = {env.pid(), env.now() + poll_every,
+              held_at < deadline ? held_from : -1, false};
+    co_await ParkAwaiter{
+        env, std::max(std::min(deadline, held_at), parked.not_before)};
+    if (parked.first >= 0) start = parked.first;
+    parked = Parked{};
   }
+}
+
+std::size_t Network::lost_wakeups() const {
+  std::size_t lost = 0;
+  const auto size = static_cast<std::size_t>(endpoints_);
+  for (std::size_t self = 0; self < size; ++self) {
+    const Parked& parked = parked_[self];
+    if (parked.pid < 0 || parked.signalled) continue;
+    for (std::size_t from = 0; from < size; ++from) {
+      const Inbound& in = inbound_[self * size + from];
+      // untimed-ok: audit view, outside simulated time
+      if (in.channel->tail.peek() != in.scanned) {
+        ++lost;
+        break;
+      }
+    }
+  }
+  return lost;
 }
 
 sim::Task<std::optional<Message>> Network::try_recv(sim::Env env, int self) {

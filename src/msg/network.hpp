@@ -9,19 +9,38 @@
 // SPSC channel: an unbounded slot array plus a tail register; send writes
 // the slot then bumps the tail (2 shared accesses, each <= Δ when timing
 // holds, so a message "arrives" within 2Δ + the receiver's polling step);
-// the receiver polls tails (cache-local while nothing changes) and
-// consumes slots in order.  Polling sweeps start at a rotating per-caller
-// index so no inbound channel can be starved by sustained load on a
-// lower-numbered one.
+// the receiver polls tails (cache-local while nothing changes, so an
+// idle receiver parks instead of re-reading them) and consumes slots in
+// order.  Polling sweeps start at a rotating per-caller index so no
+// inbound channel can be starved by sustained load on a lower-numbered
+// one.
 //
 // All three receive calls run one private receive loop: a sweep over the
 // receiver's row of a flat [receiver * endpoints + sender] table of
-// inbound state, built once by the constructor, then a pause between
-// empty sweeps until a deadline.  try_recv is one sweep, recv sweeps
-// without pause until a hit, recv_until pauses poll_every ticks.  A
-// receive call allocates its coroutine frame once; idle sweeps allocate
-// nothing.
+// inbound state, built once by the constructor.  try_recv is one sweep;
+// recv and recv_until sweep until a hit (or the deadline) and park
+// between empty sweeps.  A receive call allocates its coroutine frame
+// once; idle sweeps allocate nothing.
 //
+// Check-and-park.  After an empty sweep the receiver holds a cached copy
+// of every inbound tail, so re-reading them changes nothing until a
+// sender writes one.  Instead of sweeping again it re-checks each tail
+// against the count its sweep observed — an untimed compare, the
+// substrate's part like a futex's in-kernel compare — and sweeps again
+// (after the poll pause) from the first tail that moved, or else parks
+// (sim::Simulation::park).  The park ends at the earliest of
+//   * a send to this endpoint, right after its tail write linearizes;
+//   * the earliest adversary-held slot's delivery instant;
+//   * the recv_until deadline;
+// but never before the park instant + poll_every, so poll_every stays
+// the least gap between sweeps (recv's 0 wakes at the write instant).
+// The woken sweep starts at the sender whose send (or held slot) woke
+// it: the invalidated line is its first remote read.  Under load a
+// receiver never parks, and the rotating start keeps it fair.  Since the
+// check and the park happen at one instant, a tail write that lands after
+// the sweep read that tail is either seen by the check or finds the
+// receiver parked and wakes it; lost_wakeups() audits that.
+
 // A NetAdversary attached via set_adversary() makes delivery unreliable:
 // each message's verdict (drop / duplicate / extra delay) is decided at
 // send time from a per-channel deterministic stream; the receiver's sweep
@@ -87,16 +106,22 @@ class Network {
   /// (cache-local when idle) plus one slot read on a hit.
   sim::Task<std::optional<Message>> try_recv(sim::Env env, int self);
 
-  /// Polls until a message arrives.
+  /// Polls until a message arrives, parking between empty sweeps.
   sim::Task<Message> recv(sim::Env env, int self);
 
   /// Polls until a message arrives or `deadline` passes; between empty
-  /// sweeps waits `poll_every` ticks so the caller does not spin.
+  /// sweeps parks at least `poll_every` ticks so the caller does not
+  /// spin.
   sim::Task<std::optional<Message>> recv_until(sim::Env env, int self,
                                                sim::Time deadline,
                                                sim::Duration poll_every = 1);
 
   std::uint64_t messages_sent() const { return sent_; }
+
+  /// Untimed audit: receivers parked while a published slot they have
+  /// not scanned waits and no send reached them since they parked.
+  /// Always 0 unless the check-and-park is broken.
+  std::size_t lost_wakeups() const;
 
  private:
   /// Delivery metadata for one sent slot, written by the sender at send
@@ -132,10 +157,18 @@ class Network {
     std::vector<Held> ready;  ///< published, undelivered, not dropped
   };
 
+  /// A receiver's park on its endpoint (see the header's check-and-park).
+  struct Parked {
+    sim::Pid pid = -1;         ///< the parked receiver; -1 = none
+    sim::Time not_before = 0;  ///< park instant + poll_every
+    int first = -1;            ///< sender the woken sweep reads first
+    bool signalled = false;    ///< a send has reached it since it parked
+  };
+
   /// The receive loop behind try_recv, recv and recv_until: sweeps every
   /// inbound channel of `self` once from the rotating start; on an empty
-  /// sweep returns nullopt once now >= deadline, otherwise pauses
-  /// `poll_every` ticks (0 = sweep again at once) and sweeps again.
+  /// sweep returns nullopt once now >= deadline, otherwise check-and-parks
+  /// (at least `poll_every` ticks) and sweeps again.
   sim::Task<std::optional<Message>> receive(sim::Env env, int self,
                                             sim::Time deadline,
                                             sim::Duration poll_every);
@@ -153,6 +186,8 @@ class Network {
   std::vector<Inbound> inbound_;
   /// poll_start_[receiver]: rotating sweep start (fairness under load).
   std::vector<int> poll_start_;
+  /// parked_[receiver]: its park, while it sleeps in receive().
+  std::vector<Parked> parked_;
   NetAdversary* adversary_ = nullptr;
   std::uint64_t sent_ = 0;
 };

@@ -83,6 +83,8 @@ ServiceReport run_service(const ServiceConfig& config) {
     report.abd_retries += shard->abd_retries();
     report.abd_fast_reads += shard->abd_fast_reads();
     report.abd_fast_read_misses += shard->abd_fast_read_misses();
+    report.boot_abd_operations += shard->boot_abd_operations();
+    report.boot_abd_retries += shard->boot_abd_retries();
     report.readback_mismatches += shard->readback_mismatches();
     report.finished_at = std::max(report.finished_at, shard->last_served_at());
     const msg::ConvergenceMonitor::Report check = shard->monitor().check();
@@ -91,6 +93,7 @@ ServiceReport run_service(const ServiceConfig& config) {
     report.unfinished += check.unfinished;
     report.worst_lag = std::max(report.worst_lag, check.worst_lag);
     report.safety_violations += shard->monitor().safety_violations();
+    report.lost_wakeups += shard->network().lost_wakeups();
   }
   if (!config.outage.shards.empty()) {
     for (const int k : config.outage.shards) {

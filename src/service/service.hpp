@@ -83,13 +83,16 @@ struct ServiceReport {
   std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;
   std::uint64_t deadline_flushes = 0;
-  /// ABD counters over every replica's client.  They include the boot
-  /// election's register operations, not only the leader's batch commits;
-  /// on a faulty network the boot's retries are a large share.
+  /// ABD counters of the workload: the leaders' batch commits, from the
+  /// instant each leader began to serve.
   std::uint64_t abd_operations = 0;
   std::uint64_t abd_retries = 0;
   std::uint64_t abd_fast_reads = 0;
   std::uint64_t abd_fast_read_misses = 0;
+  /// ABD counters of the boot: every replica's election operations (on a
+  /// faulty network, many retries).
+  std::uint64_t boot_abd_operations = 0;
+  std::uint64_t boot_abd_retries = 0;
   std::uint64_t readback_mismatches = 0;
 
   // Safety / convergence (aggregated over every shard's monitor).  The
@@ -100,6 +103,9 @@ struct ServiceReport {
   std::uint64_t unfinished = 0;
   std::uint64_t safety_violations = 0;
   sim::Duration worst_lag = 0;
+  /// msg::Network::lost_wakeups() summed over the shards at the end of
+  /// the run; any non-zero count is a receiver asleep on a sent message.
+  std::uint64_t lost_wakeups = 0;
 
   // Outage drain: max over affected shards of (drained_at - heal); -1
   // when no outage was configured (or a shard never drained).

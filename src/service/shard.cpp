@@ -63,6 +63,7 @@ sim::Process Shard::node_main(sim::Env env, int node) {
 }
 
 sim::Task<void> Shard::serve(sim::Env env, msg::AbdClient& client) {
+  serve_start_ = counts_of(client);
   for (;;) {
     const sim::Time now = env.now();
     // Post-heal drain clock: the outage backlog counts as worked off once
@@ -112,27 +113,30 @@ void Shard::emit_depth(sim::Env& env) {
           static_cast<std::int64_t>(served_), label_depth_});
 }
 
-std::uint64_t Shard::abd_retries() const {
-  std::uint64_t total = 0;
-  for (const auto& c : clients_) total += c->retries();
-  return total;
+Shard::AbdCounts Shard::counts_of(const msg::AbdClient& client) {
+  return {client.operations(), client.retries(), client.fast_reads(),
+          client.fast_read_misses()};
 }
 
-std::uint64_t Shard::abd_operations() const {
-  std::uint64_t total = 0;
-  for (const auto& c : clients_) total += c->operations();
-  return total;
+Shard::AbdCounts Shard::workload() const {
+  if (leader_ < 0) return {};
+  const AbdCounts now =
+      counts_of(*clients_[static_cast<std::size_t>(leader_)]);
+  return {now.operations - serve_start_.operations,
+          now.retries - serve_start_.retries,
+          now.fast_reads - serve_start_.fast_reads,
+          now.fast_read_misses - serve_start_.fast_read_misses};
 }
 
-std::uint64_t Shard::abd_fast_reads() const {
-  std::uint64_t total = 0;
-  for (const auto& c : clients_) total += c->fast_reads();
-  return total;
-}
-
-std::uint64_t Shard::abd_fast_read_misses() const {
-  std::uint64_t total = 0;
-  for (const auto& c : clients_) total += c->fast_read_misses();
+Shard::AbdCounts Shard::all_clients() const {
+  AbdCounts total;
+  for (const auto& c : clients_) {
+    const AbdCounts one = counts_of(*c);
+    total.operations += one.operations;
+    total.retries += one.retries;
+    total.fast_reads += one.fast_reads;
+    total.fast_read_misses += one.fast_read_misses;
+  }
   return total;
 }
 

@@ -109,12 +109,35 @@ class Shard {
   std::uint64_t deadline_flushes() const { return batcher_.deadline_flushes(); }
   std::uint64_t readback_mismatches() const { return readback_mismatches_; }
   sim::Time last_served_at() const { return last_served_at_; }
-  std::uint64_t abd_retries() const;
-  std::uint64_t abd_operations() const;
-  std::uint64_t abd_fast_reads() const;
-  std::uint64_t abd_fast_read_misses() const;
+  /// ABD counters of the workload: the leader client's operations since
+  /// it began to serve (0 before).
+  std::uint64_t abd_operations() const { return workload().operations; }
+  std::uint64_t abd_retries() const { return workload().retries; }
+  std::uint64_t abd_fast_reads() const { return workload().fast_reads; }
+  std::uint64_t abd_fast_read_misses() const {
+    return workload().fast_read_misses;
+  }
+  /// ABD counters of the boot: every replica's election operations, i.e.
+  /// all of the shard's client operations except the workload's.
+  std::uint64_t boot_abd_operations() const {
+    return all_clients().operations - abd_operations();
+  }
+  std::uint64_t boot_abd_retries() const {
+    return all_clients().retries - abd_retries();
+  }
 
  private:
+  struct AbdCounts {
+    std::uint64_t operations = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t fast_reads = 0;
+    std::uint64_t fast_read_misses = 0;
+  };
+  static AbdCounts counts_of(const msg::AbdClient& client);
+  /// The leader client's counts minus the snapshot serve() took.
+  AbdCounts workload() const;
+  AbdCounts all_clients() const;
+
   sim::Process node_main(sim::Env env, int node);
   sim::Task<void> serve(sim::Env env, msg::AbdClient& client);
   void emit_depth(sim::Env& env);
@@ -136,6 +159,7 @@ class Shard {
   std::uint64_t served_ = 0;
   std::uint64_t readback_mismatches_ = 0;
   sim::Time last_served_at_ = -1;
+  AbdCounts serve_start_;  ///< leader client's counts when serve() began
   sim::Time heal_mark_ = -1;
   sim::Time drained_at_ = -1;
   std::uint32_t label_depth_ = 0;

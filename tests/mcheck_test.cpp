@@ -689,7 +689,7 @@ TEST(McheckCatalog, NamesAreUniqueAndEachEntryHasOneGroup) {
 TEST(McheckCatalog, CheapEntriesReachTheirVerdicts) {
   const std::pair<const char*, std::uint64_t> expected[] = {
       {"consensus-n2", 3410},
-      {"abd-n3-minority-down", 48},
+      {"abd-n3-minority-down", 49},
       {"atomic-lock-rt-n2", 139},
       {"consensus-rt-n2", 3440},
       {"multi-consensus-rt-n2", 1226},

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -98,6 +100,133 @@ TEST(Channels, TryRecvEmptyReturnsNothing) {
   });
   s.run();
   EXPECT_TRUE(empty_seen);
+}
+
+// --- Parked receivers ------------------------------------------------------------
+//
+// Unit access cost throughout, so every instant below is scripted: a send
+// spawned at t writes its slot at t + 1 and its tail at t + 2, and a
+// sweep over k senders reads their tails at k consecutive instants.
+
+sim::Process send_one(sim::Env env, Network& net, int self, int to) {
+  Message m;
+  m.value = 100 + self;
+  co_await net.send(env, self, to, m);
+}
+
+// Receives once on `self`; notes the instant and the sender (-1 = none).
+sim::Process receive_once(sim::Env env, Network& net, int self,
+                          sim::Time deadline, Duration poll_every,
+                          std::vector<std::pair<sim::Time, int>>& got) {
+  std::optional<Message> m;
+  if (deadline == sim::kTimeNever && poll_every == 0) {
+    m = co_await net.recv(env, self);
+  } else {
+    m = co_await net.recv_until(env, self, deadline, poll_every);
+  }
+  got.emplace_back(env.now(), m.has_value() ? m->from : -1);
+}
+
+// A tail write that linearizes mid-sweep, after the receiver read that
+// tail, finds nobody parked, so its send wakes nobody.  The park's re-check
+// sees the moved tail and sweeps again; without it the receiver would
+// sleep on the message for good and the run would go Idle undelivered.
+TEST(ParkedReceivers, TailWrittenMidSweepIsNotLost) {
+  sim::Simulation s(make_fixed_timing(1));
+  Network net(s.space(), 3);
+  std::vector<std::pair<sim::Time, int>> got;
+  s.spawn([&](sim::Env env) {
+    return receive_once(env, net, 2, sim::kTimeNever, 0, got);
+  });
+  // Tail 0>2 read empty at 1, written at 2, sweep ends at 3.
+  s.spawn([&](sim::Env env) { return send_one(env, net, 0, 2); });
+  EXPECT_EQ(s.run(), sim::Simulation::RunResult::Idle);
+  // Re-swept from sender 0: its tail at 4, its slot at 5.
+  EXPECT_EQ(got, (std::vector<std::pair<sim::Time, int>>{{5, 0}}));
+  EXPECT_EQ(s.stats(0).reads, 5u);
+  EXPECT_EQ(net.lost_wakeups(), 0u);
+}
+
+TEST(ParkedReceivers, RecvUntilSleepsToItsDeadline) {
+  sim::Simulation s(make_fixed_timing(1));
+  Network net(s.space(), 2);
+  std::vector<std::pair<sim::Time, int>> got;
+  s.spawn([&](sim::Env env) { return receive_once(env, net, 1, 100, 10, got); });
+  EXPECT_EQ(s.run(), sim::Simulation::RunResult::Idle);
+  // One sweep (reads at 1, 2), a park to the deadline, one last sweep.
+  EXPECT_EQ(got, (std::vector<std::pair<sim::Time, int>>{{102, -1}}));
+  EXPECT_EQ(s.stats(0).reads, 4u);
+  EXPECT_EQ(s.stats(0).delays, 0u);
+}
+
+// Parked at 2 with poll_every 10: a send wakes the receiver at its tail
+// write, but no earlier than 12.
+TEST(ParkedReceivers, SendWakesRecvUntilNoEarlierThanPollEvery) {
+  for (const auto& [send_at, wake_at] :
+       {std::pair<sim::Time, sim::Time>{3, 12}, {28, 30}}) {
+    SCOPED_TRACE(send_at);
+    sim::Simulation s(make_fixed_timing(1));
+    Network net(s.space(), 2);
+    std::vector<std::pair<sim::Time, int>> got;
+    s.spawn(
+        [&](sim::Env env) { return receive_once(env, net, 1, 1'000, 10, got); });
+    s.spawn([&](sim::Env env) { return send_one(env, net, 0, 1); }, send_at);
+    EXPECT_EQ(s.run(), sim::Simulation::RunResult::Idle);
+    // Woken at wake_at: the waker's tail, then its slot.
+    EXPECT_EQ(got,
+              (std::vector<std::pair<sim::Time, int>>{{wake_at + 2, 0}}));
+    EXPECT_EQ(s.stats(0).reads, 4u);
+  }
+}
+
+// A slot the adversary holds until 50 parks the receiver until 50, not
+// forever (recv has no deadline) and not in a spin.
+TEST(ParkedReceivers, HeldSlotWakesTheReceiverAtItsDeliveryInstant) {
+  sim::Simulation s(make_fixed_timing(1));
+  Network net(s.space(), 2);
+  NetAdversary adversary;
+  ChannelFaults late;
+  late.delay = 1.0;
+  late.delay_min = 50;
+  late.delay_max = 50;
+  adversary.set_channel_faults(0, 1, late);
+  net.set_adversary(&adversary);
+  std::vector<std::pair<sim::Time, int>> got;
+  s.spawn([&](sim::Env env) {
+    return receive_once(env, net, 1, sim::kTimeNever, 0, got);
+  });
+  s.spawn([&](sim::Env env) { return send_one(env, net, 0, 1); });
+  EXPECT_EQ(s.run(), sim::Simulation::RunResult::Idle);
+  // Sent at 0, deliverable at 50.  The tail write at 2 wakes the receiver
+  // parked after its first sweep (reads at 1, 2); its sweep at 3-4 finds
+  // the slot held, and the sweep woken at 50 reads tail and slot at 51-52.
+  EXPECT_EQ(got, (std::vector<std::pair<sim::Time, int>>{{52, 0}}));
+  EXPECT_EQ(s.stats(0).reads, 6u);
+}
+
+// After a park, the first tail the woken sweep reads is the waker's, not
+// the rotating start's.
+TEST(ParkedReceivers, WokenSweepReadsTheWakersTailFirst) {
+  obs::TraceSink sink;
+  sim::Simulation s(make_fixed_timing(1), {.sink = &sink});
+  Network net(s.space(), 4);
+  std::vector<std::pair<sim::Time, int>> got;
+  s.spawn([&](sim::Env env) {
+    return receive_once(env, net, 3, sim::kTimeNever, 0, got);
+  });
+  s.spawn([&](sim::Env env) { return send_one(env, net, 2, 3); }, 10);
+  EXPECT_EQ(s.run(), sim::Simulation::RunResult::Idle);
+  EXPECT_EQ(got, (std::vector<std::pair<sim::Time, int>>{{14, 2}}));
+  std::vector<std::string> reads;
+  for (const obs::Event& e : sink.snapshot()) {
+    if (e.pid == 0 && e.kind == obs::EventKind::kRead)
+      reads.emplace_back(sink.label(e.label));
+  }
+  // The sweep from the rotating start, the park at 4, then sender 2's
+  // tail and slot after its tail write at 12.
+  EXPECT_EQ(reads, (std::vector<std::string>{"ch.0>3.tail", "ch.1>3.tail",
+                                             "ch.2>3.tail", "ch.3>3.tail",
+                                             "ch.2>3.tail", "ch.2>3.slot[0]"}));
 }
 
 // --- ABD registers ----------------------------------------------------------------

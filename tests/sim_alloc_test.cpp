@@ -243,7 +243,7 @@ TEST(SimAllocRegression, AbdPhasesReachSteadyStatePerOperation) {
   EXPECT_LE(per_op[2], per_op[0]) << "warm-up should dominate steady state";
 }
 
-// --- Network receive loop: idle sweeps allocate nothing ----------------------
+// --- Network receive loop: idle receivers park, allocating nothing --------
 
 sim::Process idle_receiver(sim::Env env, msg::Network& net, bool paced,
                            std::int64_t* got) {
@@ -264,11 +264,14 @@ sim::Process late_sender(sim::Env env, msg::Network& net, sim::Duration at) {
   co_await net.send(env, 1, 0, m);
 }
 
-// A receive call allocates its coroutine frame once.  The sweeps that find
-// every inbound channel empty — recv's back-to-back ones and recv_until's
-// paced ones — allocate nothing, however long the receiver idles.
+// A receive call allocates its coroutine frame once.  An idle receiver,
+// recv's and recv_until's alike, sweeps its 4 inbound tails once and
+// parks: however long it idles it reads nothing more and allocates
+// nothing, and the send wakes it into one sweep that starts at the
+// sender's tail (2 reads: the tail, the slot).
 TEST(SimAllocRegression, IdleReceiveSweepsAllocateNothing) {
   for (const bool paced : {false, true}) {
+    SCOPED_TRACE(paced ? "recv_until" : "recv");
     sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1),
                                sim::SimulationOptions{.seed = 3});
     msg::Network net(simulation.space(), 4);
@@ -278,15 +281,45 @@ TEST(SimAllocRegression, IdleReceiveSweepsAllocateNothing) {
     });
     simulation.spawn(
         [&net](sim::Env env) { return late_sender(env, net, 20'000); });
-    simulation.run(100);  // warm-up: frames, the first sweeps, event pool
+    simulation.run(100);  // warm-up: frames, the first sweep, event pool
+    EXPECT_EQ(simulation.stats(0).reads, 4u);
     const std::uint64_t before =
         g_alloc_calls.load(std::memory_order_relaxed);
-    simulation.run(19'000);  // thousands of empty sweeps
-    EXPECT_EQ(g_alloc_calls.load(std::memory_order_relaxed) - before, 0u)
-        << (paced ? "recv_until" : "recv");
+    simulation.run(19'000);  // parked throughout
+    EXPECT_EQ(g_alloc_calls.load(std::memory_order_relaxed) - before, 0u);
+    EXPECT_EQ(simulation.stats(0).reads, 4u);
     EXPECT_EQ(simulation.run(), sim::Simulation::RunResult::Idle);
     EXPECT_EQ(got, 7);
+    EXPECT_EQ(simulation.stats(0).reads, 6u);
+    EXPECT_EQ(net.lost_wakeups(), 0u);
   }
+}
+
+// Servers with no clients: each of the n = 3 ABD servers sweeps its 6
+// inbound tails once and parks with no deadline, so the run goes Idle at
+// the end of that sweep — before parking, it spun forever — and nothing
+// allocates after the servers' first step.
+TEST(SimAllocRegression, IdleAbdServersParkAfterOneSweep) {
+  constexpr int kNodes = 3;
+  sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1),
+                             sim::SimulationOptions{.seed = 3});
+  msg::Network net(simulation.space(), 2 * kNodes);
+  for (int node = 0; node < kNodes; ++node) {
+    simulation.spawn([&net, node](sim::Env env) {
+      return msg::abd_server(env, net, node, kNodes);
+    });
+  }
+  simulation.run(0);  // first steps: process and receive frames
+  const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+  EXPECT_EQ(simulation.run(), sim::Simulation::RunResult::Idle);
+  EXPECT_EQ(simulation.run(1'000'000), sim::Simulation::RunResult::Idle);
+  EXPECT_EQ(g_alloc_calls.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(simulation.now(), 2 * kNodes);
+  for (sim::Pid pid = 0; pid < kNodes; ++pid) {
+    EXPECT_EQ(simulation.stats(pid).reads, 2u * kNodes) << "server " << pid;
+    EXPECT_FALSE(simulation.stats(pid).done());
+  }
+  EXPECT_EQ(net.lost_wakeups(), 0u);
 }
 
 }  // namespace
