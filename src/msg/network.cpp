@@ -64,10 +64,8 @@ sim::Task<void> Network::send(sim::Env env, int self, int to, Message m) {
     // tail still advances so per-channel sequence numbers stay dense.
     const Delivery verdict = adversary_->on_send(
         env, self, to, static_cast<std::uint64_t>(slot));
-    ch.meta.resize(static_cast<std::size_t>(slot) + 1);
-    ch.meta[static_cast<std::size_t>(slot)] =
-        SlotMeta{env.now() + verdict.extra_delay,
-                 verdict.dropped ? 0 : verdict.copies};
+    ch.note_verdict(slot, SlotMeta{env.now() + verdict.extra_delay,
+                                   verdict.dropped ? 0 : verdict.copies});
   }
   co_await env.write(ch.slots.at(static_cast<std::size_t>(slot)), m);
   co_await env.write(ch.tail, slot + 1);
@@ -111,6 +109,7 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
               ch.slots.at(static_cast<std::size_t>(in.consumed)));
           ++in.consumed;
           in.scanned = in.consumed;
+          ch.slots.release_below(static_cast<std::size_t>(in.consumed));
           start = from;
           co_return m;
         }
@@ -119,11 +118,10 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
       // Unreliable path: classify newly published slots, then deliver the
       // pending copy with the earliest delivery instant that has arrived.
       const int tail = co_await env.read(ch.tail);
+      const bool classified = in.scanned < tail;
       while (in.scanned < tail) {
         const int slot = in.scanned++;
-        SlotMeta meta{};  // senders without a verdict deliver immediately
-        if (static_cast<std::size_t>(slot) < ch.meta.size())
-          meta = ch.meta[static_cast<std::size_t>(slot)];
+        const SlotMeta meta = ch.take_verdict(slot);
         if (meta.copies > 0)
           in.ready.push_back({slot, meta.deliver_at, meta.copies});
       }
@@ -146,9 +144,12 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
         if (--in.ready[best].copies == 0)
           in.ready.erase(in.ready.begin() + static_cast<std::ptrdiff_t>(best));
         in.consumed = in.scanned;  // keep the fast-path cursor consistent
+        release_read_slots(in);
         start = from;
         co_return m;
       }
+      // Dropped slots are dead as soon as they are classified.
+      if (classified) release_read_slots(in);
     }
     if (env.now() >= deadline) co_return std::nullopt;
     // Check-and-park: a tail that moved since the sweep read it means a
@@ -187,6 +188,43 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
     if (parked.first >= 0) start = parked.first;
     parked = Parked{};
   }
+}
+
+void Network::Channel::note_verdict(int slot, SlotMeta verdict) {
+  if (meta.empty()) meta_base = slot;
+  // Slots sent since the last verdict without an adversary attached
+  // deliver at once.
+  meta.resize(static_cast<std::size_t>(slot - meta_base));
+  meta.push_back(verdict);
+}
+
+Network::SlotMeta Network::Channel::take_verdict(int slot) {
+  if (slot < meta_base) return {};
+  // Entries up to and including `slot`'s, all dead once it is taken.
+  const auto taken = static_cast<std::size_t>(slot - meta_base) + 1;
+  if (taken > meta.size()) {
+    meta.clear();
+    return {};
+  }
+  const SlotMeta verdict = meta[taken - 1];
+  // Drop the dead prefix once it is half the queue (amortised O(1)).
+  if (2 * taken >= meta.size()) {
+    meta.erase(meta.begin(), meta.begin() + static_cast<std::ptrdiff_t>(taken));
+    meta_base = slot + 1;
+  }
+  return verdict;
+}
+
+void Network::release_read_slots(Inbound& in) {
+  int low = in.scanned;
+  for (const Inbound::Held& h : in.ready) low = std::min(low, h.slot);
+  in.channel->slots.release_below(static_cast<std::size_t>(low));
+}
+
+std::size_t Network::live_slot_chunks(int from, int to) const {
+  TFR_REQUIRE(from >= 0 && from < endpoints_);
+  TFR_REQUIRE(to >= 0 && to < endpoints_);
+  return channel(from, to).slots.live_chunks();
 }
 
 std::size_t Network::lost_wakeups() const {

@@ -50,6 +50,18 @@
 // the read cursors: it models the link, not algorithm state, so it is
 // untimed by design.
 //
+// Bounded storage.  A channel is logically x[1..∞], but a slot the
+// receiver can never read again is dead state.  Whenever its cursor
+// moves, the receiver releases the slot chunks below its low-water mark
+// (sim::RegisterArray::release_below): the read cursor on the reliable
+// path; with an adversary, the lowest slot still held (delayed or owing
+// a duplicate) or else the scan cursor.  A verdict lives in a per-channel
+// queue from send until the receiver's sweep classifies its slot.  So a
+// channel's storage follows its in-flight window; only a receiver that
+// stops consuming (crashed, or never scheduled) keeps every slot.
+// live_slot_chunks() audits it.  Uids, names and every timed access are
+// those of the unbounded array.
+//
 // Endpoints are small integers in [0, endpoints); the ABD layer maps a
 // node to two endpoints (client + server).
 
@@ -123,6 +135,11 @@ class Network {
   /// Always 0 unless the check-and-park is broken.
   std::size_t lost_wakeups() const;
 
+  /// Untimed audit: slot chunks (sim::RegisterArray::kChunkCells slots
+  /// each) the channel from -> to keeps live.  Bounded by the channel's
+  /// in-flight window: sent slots from its receiver's low-water mark on.
+  std::size_t live_slot_chunks(int from, int to) const;
+
  private:
   /// Delivery metadata for one sent slot, written by the sender at send
   /// time (adversary verdict) and consumed by the receiver's sweep —
@@ -136,10 +153,21 @@ class Network {
     Channel(sim::RegisterSpace& space, const std::string& name)
         : slots(space, Message{}, name + ".slot"),
           tail(space, 0, name + ".tail") {}
+
+    /// Sender side: records the verdict of `slot`, the newest slot.
+    void note_verdict(int slot, SlotMeta verdict);
+    /// Receiver side, in slot order: the verdict of `slot` (a slot sent
+    /// with no adversary attached delivers at once); it and every older
+    /// verdict are dead afterwards.
+    SlotMeta take_verdict(int slot);
+
     sim::RegisterArray<Message> slots;
     sim::Register<int> tail;
     int sender_next = 0;  ///< sender-local: slots written so far
-    std::vector<SlotMeta> meta;  ///< sender-appended adversary verdicts
+    /// Adversary verdicts from send until the receiver classifies their
+    /// slot: meta[i] is slot meta_base + i's.
+    std::vector<SlotMeta> meta;
+    int meta_base = 0;
   };
 
   /// Receiver-local state of one inbound channel.
@@ -173,7 +201,11 @@ class Network {
                                             sim::Time deadline,
                                             sim::Duration poll_every);
 
-  Channel& channel(int from, int to) {
+  /// Releases the slots of `in`'s channel that its receiver can never read
+  /// again: below the scan cursor and every held slot.
+  static void release_read_slots(Inbound& in);
+
+  Channel& channel(int from, int to) const {
     return *channels_[static_cast<std::size_t>(from) *
                           static_cast<std::size_t>(endpoints_) +
                       static_cast<std::size_t>(to)];

@@ -12,10 +12,16 @@
 // realizes the paper's infinite arrays (x[1..∞], y[1..∞]) by growing on
 // demand; allocation is a local action and costs no simulated time.
 //
-// Array cells are kept compact because a message channel grows one per
+// Array cells are kept compact because a message channel builds one per
 // message: a cell owns no name string (it derives "<array>[i]" on
 // demand), its RMR "holds a copy" bits for pids below 64 live in an
-// inline mask, and cells are built in place in fixed 64-cell chunks.
+// inline mask, and cells are built in place in fixed 64-cell chunks.  A
+// channel's receiver never reads a consumed slot again, so it releases
+// the chunks below its read cursor (RegisterArray::release_below): their
+// cells are destroyed and the storage is reused for the next chunk, so a
+// channel holds the messages in flight, not every message ever sent.
+// Uids and names do not change: cells are still built on first touch, in
+// index order.
 
 #pragma once
 
@@ -72,10 +78,11 @@ class RegisterSpace {
   /// then skip state hashing for the whole space.
   bool values_hashable() const { return hashable_; }
 
-  /// FNV-1a over every live register's (uid, value bytes), in allocation
-  /// order.  Only meaningful while the registers of the current run are
-  /// alive and values_hashable() holds; requires set_value_capture(true)
-  /// before the registers were constructed.
+  /// FNV-1a over every register's (uid, value bytes), in allocation order;
+  /// a released array cell (dead state) hashes as a fixed 0.  Only
+  /// meaningful while the registers of the current run are alive and
+  /// values_hashable() holds; requires set_value_capture(true) before the
+  /// registers were constructed.
   std::uint64_t values_fingerprint() const {
     std::uint64_t h = 1469598103934665603ull;
     const auto mix = [&h](std::uint64_t v) {
@@ -95,16 +102,31 @@ class RegisterSpace {
  private:
   template <class T>
   friend class Register;
+  template <class T>
+  friend class RegisterArray;
 
   using ValueHasher = std::uint64_t (*)(const void*);
 
-  /// Registers a live register's value-hash thunk (capture mode only).
-  /// Entries dangle once their register is destroyed — the next reset()
-  /// clears them; values_fingerprint() is only called mid-run.
+  /// Registers a new register's value-hash thunk (capture mode only), one
+  /// entry per uid: hashers_[uid - 1].  Entries of standalone registers
+  /// dangle once they are destroyed — the next reset() clears them;
+  /// values_fingerprint() is only called mid-run.
   void note_hasher(const void* object, ValueHasher hasher) {
     hashers_.emplace_back(object, hasher);
   }
-  void mark_unhashable() { hashable_ = false; }
+  /// An unhashable register keeps its uid's entry, so the indexing holds.
+  void mark_unhashable() {
+    hashable_ = false;
+    hashers_.emplace_back(nullptr, &retired_value);
+  }
+  /// Retires the entry of a released array cell, whose storage is about to
+  /// be reused, so values_fingerprint() never reads it again.
+  void retire_hasher(std::uint64_t uid) {
+    if (!capture_) return;
+    TFR_REQUIRE(uid >= 1 && uid <= hashers_.size());
+    hashers_[uid - 1] = {nullptr, &retired_value};
+  }
+  static std::uint64_t retired_value(const void*) { return 0; }
 
   /// Returns the new register's uid: 1-based allocation order, stable
   /// across identical runs — the conflict key mcheck's independence
@@ -269,10 +291,14 @@ class Register {
 /// an index.  Indices are 0-based.  Cells are built in place in fixed-size
 /// chunks, so grown registers never move (registers are pinned: awaiters
 /// hold pointers to them) and the array itself is immovable (cells point at
-/// its name).
+/// its name).  An owner that will never touch a prefix again releases it
+/// with release_below(); the array then keeps only the chunks from the
+/// released bound to size().
 template <class T>
 class RegisterArray {
  public:
+  static constexpr std::size_t kChunkCells = 64;
+
   RegisterArray(RegisterSpace& space, T initial, std::string name = {})
       : space_(&space), initial_(std::move(initial)), name_(std::move(name)) {}
 
@@ -280,14 +306,15 @@ class RegisterArray {
   RegisterArray& operator=(const RegisterArray&) = delete;
 
   ~RegisterArray() {
-    for (std::size_t i = 0; i < size_; ++i) cell(i).~Register();
+    for (std::size_t i = released_; i < size_; ++i) cell(i).~Register();
   }
 
   /// Returns the register at `index`, allocating up to it on demand.
+  /// `index` must not be below released().
   Register<T>& at(std::size_t index) {
+    TFR_REQUIRE(index >= released_);
     while (size_ <= index) {
-      if (size_ % kChunkCells == 0)
-        chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
+      if (size_ % kChunkCells == 0) chunks_.push_back(next_chunk());
       ::new (storage(size_)) Register<T>(*space_, initial_, &name_, size_);
       ++size_;
     }
@@ -296,23 +323,53 @@ class RegisterArray {
 
   /// Read-only access to an index that must already exist.
   const Register<T>& at(std::size_t index) const {
-    TFR_REQUIRE(index < size_);
+    TFR_REQUIRE(index >= released_ && index < size_);
     return cell(index);
   }
 
+  /// Cells ever built: one past the highest index touched.
   std::size_t size() const { return size_; }
 
- private:
-  static constexpr std::size_t kChunkCells = 64;
+  /// Cells below this index are released; a multiple of kChunkCells.
+  std::size_t released() const { return released_; }
 
+  /// Chunks holding built, unreleased cells.
+  std::size_t live_chunks() const { return chunks_.size(); }
+
+  /// Destroys the cells of every whole chunk below `index` (<= size()) and
+  /// keeps one such chunk's storage for the array's next chunk.  Cells are
+  /// never rebuilt: at() below released() fails its precondition.
+  void release_below(std::size_t index) {
+    TFR_REQUIRE(index <= size_);
+    const std::size_t bound = index - index % kChunkCells;
+    if (bound <= released_) return;
+    for (std::size_t i = released_; i < bound; ++i) {
+      Register<T>& c = cell(i);
+      space_->retire_hasher(c.uid());
+      c.~Register();
+    }
+    const auto dead = static_cast<std::ptrdiff_t>((bound - released_) /
+                                                  kChunkCells);
+    if (spare_ == nullptr) spare_ = std::move(chunks_.front());
+    // Shifts only the live chunks' pointers: the in-flight window.
+    chunks_.erase(chunks_.begin(), chunks_.begin() + dead);
+    released_ = bound;
+  }
+
+ private:
   /// Raw storage for kChunkCells registers, left uninitialised: cells are
   /// constructed one at a time as the array grows.
   struct Chunk {
     alignas(Register<T>) unsigned char bytes[kChunkCells * sizeof(Register<T>)];
   };
 
+  std::unique_ptr<Chunk> next_chunk() {
+    if (spare_ != nullptr) return std::move(spare_);
+    return std::make_unique_for_overwrite<Chunk>();
+  }
+
   unsigned char* storage(std::size_t index) const {
-    return chunks_[index / kChunkCells]->bytes +
+    return chunks_[(index - released_) / kChunkCells]->bytes +
            (index % kChunkCells) * sizeof(Register<T>);
   }
 
@@ -323,8 +380,11 @@ class RegisterArray {
   RegisterSpace* space_;
   T initial_;
   std::string name_;
+  /// The live chunks: chunks_[k] holds cells from released_ + k * kChunkCells.
   std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::unique_ptr<Chunk> spare_;  ///< a released chunk's storage, for reuse
   std::size_t size_ = 0;
+  std::size_t released_ = 0;  ///< a multiple of kChunkCells
 };
 
 }  // namespace tfr::sim

@@ -1239,5 +1239,185 @@ TEST(NetAdversaryTest, FaultEventsLandInTheTrace) {
   }
 }
 
+
+// --- Channel storage ---------------------------------------------------------
+//
+// A channel's receiver releases the slot chunks it can never read again,
+// so the channel keeps its in-flight window, not every message sent.  The
+// long exchanges below cross ~156 chunk boundaries; their delivered
+// sequences are pinned to the ones the retain-everything channel produced.
+
+sim::Process numbered_sender(sim::Env env, Network& net, int count,
+                             Duration pause_lo, Duration pause_hi,
+                             int* started, bool* done) {
+  for (int k = 0; k < count; ++k) {
+    Message m;
+    m.value = k;
+    ++*started;
+    co_await net.send(env, 0, 1, m);
+    co_await env.delay(env.rng().uniform(pause_lo, pause_hi));
+  }
+  *done = true;
+}
+
+struct Delivered {
+  std::int64_t value = 0;
+  std::size_t live = 0;  ///< live slot chunks of channel 0 -> 1 after it
+  int started = 0;       ///< sends begun by then
+};
+
+/// Receives on endpoint 1 until the sender is done and `quiet` ticks pass
+/// with nothing delivered.
+sim::Process draining_receiver(sim::Env env, Network& net, const int* started,
+                               const bool* sender_done, Duration quiet,
+                               std::vector<Delivered>& got) {
+  for (;;) {
+    const std::optional<Message> m =
+        co_await net.recv_until(env, 1, env.now() + quiet, 1);
+    if (m.has_value()) {
+      got.push_back({m->value, net.live_slot_chunks(0, 1), *started});
+    } else if (*sender_done) {
+      break;
+    }
+  }
+}
+
+struct LongExchange {
+  std::vector<Delivered> delivered;
+  std::size_t live_at_end = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t held = 0;  ///< delayed or reordered verdicts
+
+  std::size_t peak_live() const {
+    std::size_t peak = 0;
+    for (const Delivered& d : delivered) peak = std::max(peak, d.live);
+    return peak;
+  }
+  std::uint64_t sequence_hash() const {
+    std::uint64_t h = 1469598103934665603ull;
+    for (const Delivered& d : delivered) {
+      h ^= static_cast<std::uint64_t>(d.value);
+      h *= 1099511628211ull;
+    }
+    return h;
+  }
+};
+
+/// 10k messages on channel 0 -> 1, the sender pausing uniformly in
+/// [pause_lo, pause_hi] between sends.
+LongExchange run_long_exchange(const ChannelFaults* faults, Duration pause_lo,
+                               Duration pause_hi) {
+  constexpr int kMessages = 10'000;
+  sim::Simulation s(make_uniform_timing(1, kDelta), {.seed = 4});
+  Network net(s.space(), 2);
+  NetAdversary adversary(17);
+  if (faults != nullptr) {
+    adversary.set_default_faults(*faults);
+    net.set_adversary(&adversary);
+  }
+  LongExchange out;
+  out.delivered.reserve(2 * kMessages);
+  int started = 0;
+  bool sender_done = false;
+  s.spawn([&](sim::Env env) {
+    return draining_receiver(env, net, &started, &sender_done, 20'000,
+                             out.delivered);
+  });
+  s.spawn([&](sim::Env env) {
+    return numbered_sender(env, net, kMessages, pause_lo, pause_hi, &started,
+                           &sender_done);
+  });
+  EXPECT_EQ(s.run(), sim::Simulation::RunResult::Idle);
+  EXPECT_EQ(net.messages_sent(), static_cast<std::uint64_t>(kMessages));
+  out.live_at_end = net.live_slot_chunks(0, 1);
+  out.drops = adversary.drops();
+  out.duplicates = adversary.duplicates();
+  out.held = adversary.delays() + adversary.reorders();
+  return out;
+}
+
+ChannelFaults long_exchange_faults() {
+  ChannelFaults faults;
+  faults.drop = 0.05;
+  faults.duplicate = 0.1;
+  faults.delay = 0.2;
+  faults.delay_min = 1;
+  faults.delay_max = 400;
+  faults.reorder = 0.05;
+  faults.reorder_hold = 8'000;
+  return faults;
+}
+
+// Reliable path, with a sender that outruns the receiver: the read cursor
+// is the low-water mark, so after reading slot k the live chunks are those
+// from k's chunk to the newest slot begun, never the whole history.
+TEST(ChannelStorage, ReliableBacklogKeepsOnlyItsWindow) {
+  const LongExchange out = run_long_exchange(nullptr, 0, 8);
+  ASSERT_EQ(out.delivered.size(), 10'000u);
+  for (std::size_t k = 0; k < out.delivered.size(); ++k) {
+    const Delivered& d = out.delivered[k];
+    ASSERT_EQ(d.value, static_cast<std::int64_t>(k));
+    const auto window = static_cast<std::size_t>(d.started) - (k + 1);
+    EXPECT_LE(d.live, (window + 63) / 64 + 1) << "delivery " << k;
+  }
+  EXPECT_GE(out.peak_live(), 3u) << "the receiver never fell behind";
+  EXPECT_EQ(out.live_at_end, 1u);
+}
+
+// The adversarial exchanges' delivered counts and sequence hashes, as the
+// channel that kept every slot produced them.
+constexpr std::size_t kBacklogDelivered = 10'454;
+constexpr std::uint64_t kBacklogSequenceHash = 0x9e8983894ae6c9d6ull;
+constexpr std::size_t kPacedDelivered = 10'454;
+constexpr std::uint64_t kPacedSequenceHash = 0x3f607fe4801eefe8ull;
+
+// Adversary path under backlog: drops, duplicates, delays and reorder
+// holds, while the sender outruns the receiver.  A slot released too early
+// would fail at()'s precondition when its held copy is delivered.
+TEST(ChannelStorage, AdversarialBacklogDeliversTheRetainedSequence) {
+  const ChannelFaults faults = long_exchange_faults();
+  const LongExchange out = run_long_exchange(&faults, 0, 8);
+  EXPECT_GT(out.drops, 0u);
+  EXPECT_GT(out.duplicates, 0u);
+  EXPECT_GT(out.held, 0u);
+  EXPECT_EQ(out.delivered.size(), kBacklogDelivered);
+  EXPECT_EQ(out.sequence_hash(), kBacklogSequenceHash);
+  EXPECT_EQ(out.live_at_end, 1u);
+}
+
+// Adversary path with a sender the receiver keeps up with: the in-flight
+// window is the held slots.  A hold lasts at most 8000 ticks and sends are
+// at least 62 ticks apart, so at most 130 slots are in flight, which span
+// at most 4 chunks (5 with the sweep that has yet to classify the newest).
+// Holds must span chunk boundaries (3 live), never the history (157).
+TEST(ChannelStorage, HeldSlotsBoundTheLiveChunks) {
+  const ChannelFaults faults = long_exchange_faults();
+  const LongExchange out = run_long_exchange(&faults, 60, 70);
+  EXPECT_GT(out.drops, 0u);
+  EXPECT_GT(out.duplicates, 0u);
+  EXPECT_GT(out.held, 0u);
+  EXPECT_EQ(out.delivered.size(), kPacedDelivered);
+  EXPECT_EQ(out.sequence_hash(), kPacedSequenceHash);
+  EXPECT_GE(out.peak_live(), 3u) << "no hold spanned a chunk boundary";
+  EXPECT_LE(out.peak_live(), 5u);
+  EXPECT_EQ(out.live_at_end, 1u);
+}
+
+// A receiver that never reads keeps every slot: nothing is released
+// behind a cursor that does not move.
+TEST(ChannelStorage, UnreadChannelKeepsEverySlot) {
+  sim::Simulation s(make_fixed_timing(1));
+  Network net(s.space(), 2);
+  int started = 0;
+  bool done = false;
+  s.spawn([&](sim::Env env) {
+    return numbered_sender(env, net, 200, 0, 0, &started, &done);
+  });
+  EXPECT_EQ(s.run(), sim::Simulation::RunResult::Idle);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(net.live_slot_chunks(0, 1), 4u);
+}
+
 }  // namespace
 }  // namespace tfr::msg

@@ -32,7 +32,15 @@ std::atomic<std::uint64_t> g_alloc_calls{0};
 
 // Counting overrides for the whole test binary.  Deliberately minimal:
 // route through malloc/free and count calls; gtest's own allocations are
-// outside the measured windows.
+// outside the measured windows.  Every delete frees through one helper
+// that is never inlined: a free() the compiler can see pairing with a
+// new-expression draws -Wmismatched-new-delete.
+namespace {
+
+[[gnu::noinline]] void free_block(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
 void* operator new(std::size_t size) {
   g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
@@ -41,10 +49,10 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { free_block(p); }
+void operator delete[](void* p) noexcept { free_block(p); }
+void operator delete(void* p, std::size_t) noexcept { free_block(p); }
+void operator delete[](void* p, std::size_t) noexcept { free_block(p); }
 
 namespace tfr {
 namespace {
@@ -241,6 +249,57 @@ TEST(SimAllocRegression, AbdPhasesReachSteadyStatePerOperation) {
         << "op " << i;
   }
   EXPECT_LE(per_op[2], per_op[0]) << "warm-up should dominate steady state";
+}
+
+// --- Channel storage: a long exchange reuses its slot chunks ---------------
+
+sim::Process paced_sender(sim::Env env, msg::Network& net, int count) {
+  for (int k = 0; k < count; ++k) {
+    msg::Message m;
+    m.value = k;
+    co_await net.send(env, 0, 1, m);
+    co_await env.delay(5);
+  }
+}
+
+/// Receives `count` messages, recording the operator-new call count after
+/// each into `after` (pre-reserved, so the record itself never allocates).
+sim::Process alloc_recording_receiver(sim::Env env, msg::Network& net,
+                                      int count,
+                                      std::vector<std::uint64_t>& after) {
+  for (int k = 0; k < count; ++k) {
+    co_await net.recv(env, 1);
+    after.push_back(g_alloc_calls.load(std::memory_order_relaxed));
+  }
+}
+
+// The receiver releases each slot chunk once it has read it, and the next
+// chunk reuses that storage, so after the first chunks every message of a
+// long exchange costs exactly its coroutine frames (one send, one receive
+// call) — flat across all 30 chunk boundaries, not one chunk per 64
+// messages.
+TEST(SimAllocRegression, LongChannelExchangeAllocatesNoSlotStorage) {
+  constexpr int kMessages = 2'000;
+  constexpr int kWarmup = 200;
+  sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1),
+                             sim::SimulationOptions{.seed = 2});
+  msg::Network net(simulation.space(), 2);
+  std::vector<std::uint64_t> after;
+  after.reserve(kMessages);
+  simulation.spawn([&net, &after](sim::Env env) {
+    return alloc_recording_receiver(env, net, kMessages, after);
+  });
+  simulation.spawn(
+      [&net](sim::Env env) { return paced_sender(env, net, kMessages); });
+  EXPECT_EQ(simulation.run(), sim::Simulation::RunResult::Idle);
+  ASSERT_EQ(after.size(), static_cast<std::size_t>(kMessages));
+  const std::uint64_t per_message = after[kWarmup] - after[kWarmup - 1];
+  for (int k = kWarmup; k < kMessages; ++k) {
+    const auto i = static_cast<std::size_t>(k);
+    ASSERT_EQ(after[i] - after[i - 1], per_message) << "message " << k;
+  }
+  EXPECT_LE(per_message, 3u);
+  EXPECT_LE(net.live_slot_chunks(0, 1), 1u);
 }
 
 // --- Network receive loop: idle receivers park, allocating nothing --------

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "tfr/common/contracts.hpp"
@@ -602,6 +603,86 @@ TEST(Registers, ArrayGrowthKeepsAddressesUidsAndValues) {
   EXPECT_EQ(arr.at(1999).peek(), 7);
   EXPECT_EQ(arr.size(), 2001u);
   EXPECT_EQ(space.allocated(), 2002u);
+}
+
+// Releasing a prefix changes storage only: every later cell gets the uid,
+// name and value it gets in an array that keeps everything, and a released
+// chunk's storage is reused for the next chunk.
+TEST(Registers, ReleasedArrayBuildsTheSameLaterCells) {
+  RegisterSpace kept_space;
+  RegisterSpace released_space;
+  RegisterArray<int> kept(kept_space, -1, "x");
+  RegisterArray<int> released(released_space, -1, "x");
+  const Register<int>* first_chunk = &released.at(0);
+  for (std::size_t i = 0; i < 1000; ++i) {
+    kept.at(i).poke(static_cast<int>(3 * i));
+    released.at(i).poke(static_cast<int>(3 * i));
+    if (i == 100) {
+      released.release_below(70);  // chunk 0 only: 64..69 stay
+      EXPECT_EQ(released.released(), 64u);
+      EXPECT_EQ(released.live_chunks(), 1u);
+    }
+    if (i == 128) {
+      // Chunk 2 reuses chunk 0's storage.
+      EXPECT_EQ(&released.at(128), first_chunk);
+    }
+    if (i % 97 == 0) released.release_below(i - i % 50);
+  }
+  released.release_below(released.released());  // a no-op
+  EXPECT_EQ(released.released(), 896u);  // 970 - 970 % 50, floored to 64
+  EXPECT_EQ(released.live_chunks(), 2u);
+  EXPECT_EQ(kept.live_chunks(), 16u);
+  for (std::size_t i = released.released(); i < 1500; ++i) {
+    ASSERT_EQ(released.at(i).uid(), kept.at(i).uid()) << "cell " << i;
+    EXPECT_EQ(released.at(i).name(), kept.at(i).name());
+    EXPECT_EQ(released.at(i).peek(), kept.at(i).peek());
+  }
+  EXPECT_EQ(released.size(), kept.size());
+  EXPECT_EQ(released_space.allocated(), kept_space.allocated());
+}
+
+TEST(Registers, AtBelowTheReleasedBoundFails) {
+  RegisterSpace space;
+  RegisterArray<int> arr(space, 0, "x");
+  arr.at(200);
+  arr.release_below(130);
+  EXPECT_EQ(arr.released(), 128u);
+  EXPECT_THROW(arr.at(127), ContractViolation);
+  EXPECT_THROW(std::as_const(arr).at(0), ContractViolation);
+  EXPECT_THROW(arr.release_below(202), ContractViolation);  // beyond size()
+  // The failed calls rebuilt nothing.
+  EXPECT_EQ(space.allocated(), 201u);
+  EXPECT_EQ(arr.at(128).uid(), 129u);
+}
+
+/// Has padding, so its bytes cannot be hashed: the space still gives it a
+/// fingerprint entry, keeping entries indexed by uid.
+struct Padded {
+  std::int32_t a = 0;
+  std::int64_t b = 0;
+};
+
+// Capture mode holds a value-hash entry per register.  A released cell's
+// entry is retired before its storage is reused, so the fingerprint reads
+// no freed memory (ASan checks that) and no longer depends on the dead
+// value, while a live cell's value still counts.
+TEST(Registers, CaptureModeFingerprintRetiresReleasedCells) {
+  const auto fingerprint_after_release = [](int dead_value, int live_value) {
+    Simulation s(make_fixed_timing(1), {.capture_state = true});
+    Register<Padded> padded(s.space(), Padded{}, "padded");
+    RegisterArray<int> arr(s.space(), 0, "x");
+    arr.at(199);
+    for (std::size_t i = 0; i < 128; ++i) arr.at(i).poke(dead_value);
+    const std::uint64_t before = s.state_fingerprint();
+    arr.release_below(150);  // chunks 0 and 1: cells 0..127
+    arr.at(150).poke(live_value);
+    arr.at(300);  // reuses a released chunk's storage
+    EXPECT_NE(s.state_fingerprint(), before);
+    return std::pair{s.space().values_fingerprint(), s.state_fingerprint()};
+  };
+  const auto base = fingerprint_after_release(1, 5);
+  EXPECT_EQ(fingerprint_after_release(2, 5), base);
+  EXPECT_NE(fingerprint_after_release(1, 6).first, base.first);
 }
 
 // Cache-coherent RMR accounting, as a per-pid vector of "holds a valid
