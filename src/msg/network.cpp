@@ -109,7 +109,7 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
               ch.slots.at(static_cast<std::size_t>(in.consumed)));
           ++in.consumed;
           in.scanned = in.consumed;
-          ch.slots.release_below(static_cast<std::size_t>(in.consumed));
+          release_read_slots(in);
           start = from;
           co_return m;
         }
