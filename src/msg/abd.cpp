@@ -58,39 +58,24 @@ sim::Process abd_server(sim::Env env, Network& net, int node, int n) {
   for (;;) {
     const Message m = co_await net.recv(env, self);
     auto& cell = store[m.reg];  // default (0, 0)
+    Message ack;
+    ack.reg = m.reg;
+    ack.rid = m.rid;
     switch (m.type) {
-      case kTagReq: {
-        Message ack;
-        ack.type = kTagAck;
-        ack.reg = m.reg;
-        ack.rid = m.rid;
+      case kTagReq:
+      case kReadReq:
+        ack.type = m.type == kTagReq ? kTagAck : kReadAck;
         ack.tag = cell.first;
         ack.value = cell.second;
-        co_await net.send(env, self, m.from, ack);
         break;
-      }
-      case kReadReq: {
-        Message ack;
-        ack.type = kReadAck;
-        ack.reg = m.reg;
-        ack.rid = m.rid;
-        ack.tag = cell.first;
-        ack.value = cell.second;
-        co_await net.send(env, self, m.from, ack);
-        break;
-      }
-      case kWriteReq: {
+      case kWriteReq:
         if (m.tag > cell.first) cell = {m.tag, m.value};
-        Message ack;
         ack.type = kWriteAck;
-        ack.reg = m.reg;
-        ack.rid = m.rid;
-        co_await net.send(env, self, m.from, ack);
         break;
-      }
       default:
         TFR_UNREACHABLE("unknown ABD message type");
     }
+    co_await net.send(env, self, m.from, ack);
   }
 }
 

@@ -21,13 +21,10 @@ Network::Network(sim::RegisterSpace& space, int endpoints)
     }
   }
   const auto size = static_cast<std::size_t>(endpoints);
-  inbound_.resize(size * size);
+  inbound_.reserve(size * size);
   for (int to = 0; to < endpoints; ++to) {
-    for (int from = 0; from < endpoints; ++from) {
-      inbound_[static_cast<std::size_t>(to) * size +
-               static_cast<std::size_t>(from)]
-          .channel = &channel(from, to);
-    }
+    for (int from = 0; from < endpoints; ++from)
+      inbound_.push_back(&channel(from, to));
   }
   poll_start_.assign(size, 0);
   parked_.resize(size);
@@ -57,16 +54,18 @@ sim::Task<void> Network::send(sim::Env env, int self, int to, Message m) {
   // Only `self` writes this channel, so the next free slot is sender-local
   // knowledge.  Slot is written BEFORE the tail so the receiver never
   // observes an unwritten slot.
-  const int slot = ch.sender_next++;
+  const int slot = ch.next_slot();
+  SlotMeta meta;  // no adversary: deliverable at once, one copy
   if (adversary_ != nullptr) {
     // The verdict is decided at send time; the sender still pays the full
     // send cost (the network, not the sender, loses the message), and the
     // tail still advances so per-channel sequence numbers stay dense.
     const Delivery verdict = adversary_->on_send(
         env, self, to, static_cast<std::uint64_t>(slot));
-    ch.note_verdict(slot, SlotMeta{env.now() + verdict.extra_delay,
-                                   verdict.dropped ? 0 : verdict.copies});
+    meta = {env.now() + verdict.extra_delay,
+            verdict.dropped ? 0 : verdict.copies};
   }
+  ch.window.push_back(meta);
   co_await env.write(ch.slots.at(static_cast<std::size_t>(slot)), m);
   co_await env.write(ch.tail, slot + 1);
   ++sent_;
@@ -96,60 +95,36 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
   for (;;) {
     int from = start;
     for (int i = 0; i < endpoints_; ++i) {
-      Inbound& in = inbound_[row + static_cast<std::size_t>(from)];
-      Channel& ch = *in.channel;
+      Channel& ch = *inbound_[row + static_cast<std::size_t>(from)];
       if (++from == endpoints_) from = 0;  // next sender, and the next start
-      // Reliable fast path: nothing pending from the unreliable machinery
-      // and no adversary attached — identical to the original SPSC consume.
-      if (adversary_ == nullptr && in.ready.empty() &&
-          in.scanned == in.consumed) {
-        const int tail = co_await env.read(ch.tail);
-        if (tail > in.consumed) {
-          const Message m = co_await env.read(
-              ch.slots.at(static_cast<std::size_t>(in.consumed)));
-          ++in.consumed;
-          in.scanned = in.consumed;
-          release_read_slots(in);
-          start = from;
-          co_return m;
-        }
-        continue;
-      }
-      // Unreliable path: classify newly published slots, then deliver the
-      // pending copy with the earliest delivery instant that has arrived.
-      const int tail = co_await env.read(ch.tail);
-      const bool classified = in.scanned < tail;
-      while (in.scanned < tail) {
-        const int slot = in.scanned++;
-        const SlotMeta meta = ch.take_verdict(slot);
-        if (meta.copies > 0)
-          in.ready.push_back({slot, meta.deliver_at, meta.copies});
-      }
+      // Deliver the published copy with the earliest delivery instant that
+      // has arrived; ties go to the older slot.
+      ch.scanned = co_await env.read(ch.tail);
       const sim::Time now = env.now();
-      std::size_t best = in.ready.size();
-      for (std::size_t r = 0; r < in.ready.size(); ++r) {
-        const Inbound::Held& h = in.ready[r];
-        if (h.deliver_at > now) continue;
-        if (best == in.ready.size() ||
-            h.deliver_at < in.ready[best].deliver_at ||
-            (h.deliver_at == in.ready[best].deliver_at &&
-             h.slot < in.ready[best].slot)) {
-          best = r;
+      int best = ch.scanned;  // none
+      for (int slot = ch.low; slot < ch.scanned; ++slot) {
+        const SlotMeta& e = ch.entry(slot);
+        if (e.copies == 0 || e.deliver_at > now) continue;
+        if (best == ch.scanned || e.deliver_at < ch.entry(best).deliver_at) {
+          best = slot;
+          // No slot delivers before instant 0, so a copy sent with no
+          // adversary ends the search: a reliable channel reads its oldest
+          // slot in O(1), however long its backlog.
+          if (e.deliver_at == 0) break;
         }
       }
-      if (best != in.ready.size()) {
-        const int slot = in.ready[best].slot;
+      if (best != ch.scanned) {
+        // Before the read: a send during it may grow, and so move, the
+        // window.
+        --ch.entry(best).copies;
         const Message m =
-            co_await env.read(ch.slots.at(static_cast<std::size_t>(slot)));
-        if (--in.ready[best].copies == 0)
-          in.ready.erase(in.ready.begin() + static_cast<std::ptrdiff_t>(best));
-        in.consumed = in.scanned;  // keep the fast-path cursor consistent
-        release_read_slots(in);
+            co_await env.read(ch.slots.at(static_cast<std::size_t>(best)));
+        ch.pop_dead();
         start = from;
         co_return m;
       }
-      // Dropped slots are dead as soon as they are classified.
-      if (classified) release_read_slots(in);
+      // Dropped slots are dead as soon as they are published.
+      ch.pop_dead();
     }
     if (env.now() >= deadline) co_return std::nullopt;
     // Check-and-park: a tail that moved since the sweep read it means a
@@ -161,15 +136,16 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
     int held_from = -1;
     sim::Time held_at = sim::kTimeNever;
     for (int i = 0, from = start; i < endpoints_; ++i) {
-      const Inbound& in = inbound_[row + static_cast<std::size_t>(from)];
+      Channel& ch = *inbound_[row + static_cast<std::size_t>(from)];
       // untimed-ok: the park's atomic re-check, like a futex's compare
-      if (in.channel->tail.peek() != in.scanned) {
+      if (ch.tail.peek() != ch.scanned) {
         moved = from;
         break;
       }
-      for (const Inbound::Held& h : in.ready) {
-        if (h.deliver_at < held_at) {
-          held_at = h.deliver_at;
+      for (int slot = ch.low; slot < ch.scanned; ++slot) {
+        const SlotMeta& e = ch.entry(slot);
+        if (e.copies > 0 && e.deliver_at < held_at) {
+          held_at = e.deliver_at;
           held_from = from;
         }
       }
@@ -190,35 +166,20 @@ sim::Task<std::optional<Message>> Network::receive(sim::Env env, int self,
   }
 }
 
-void Network::Channel::note_verdict(int slot, SlotMeta verdict) {
-  if (meta.empty()) meta_base = slot;
-  // Slots sent since the last verdict without an adversary attached
-  // deliver at once.
-  meta.resize(static_cast<std::size_t>(slot - meta_base));
-  meta.push_back(verdict);
-}
-
-Network::SlotMeta Network::Channel::take_verdict(int slot) {
-  if (slot < meta_base) return {};
-  // Entries up to and including `slot`'s, all dead once it is taken.
-  const auto taken = static_cast<std::size_t>(slot - meta_base) + 1;
-  if (taken > meta.size()) {
-    meta.clear();
-    return {};
+void Network::Channel::pop_dead() {
+  const int old = low;
+  while (low < scanned && window[front].copies == 0) {
+    ++front;
+    ++low;
   }
-  const SlotMeta verdict = meta[taken - 1];
-  // Drop the dead prefix once it is half the queue (amortised O(1)).
-  if (2 * taken >= meta.size()) {
-    meta.erase(meta.begin(), meta.begin() + static_cast<std::ptrdiff_t>(taken));
-    meta_base = slot + 1;
+  if (low == old) return;
+  slots.release_below(static_cast<std::size_t>(low));
+  // Drop the popped entries once they are half the vector (amortised O(1)).
+  if (2 * front >= window.size()) {
+    window.erase(window.begin(),
+                 window.begin() + static_cast<std::ptrdiff_t>(front));
+    front = 0;
   }
-  return verdict;
-}
-
-void Network::release_read_slots(Inbound& in) {
-  int low = in.scanned;
-  for (const Inbound::Held& h : in.ready) low = std::min(low, h.slot);
-  in.channel->slots.release_below(static_cast<std::size_t>(low));
 }
 
 std::size_t Network::live_slot_chunks(int from, int to) const {
@@ -234,9 +195,9 @@ std::size_t Network::lost_wakeups() const {
     const Parked& parked = parked_[self];
     if (parked.pid < 0 || parked.signalled) continue;
     for (std::size_t from = 0; from < size; ++from) {
-      const Inbound& in = inbound_[self * size + from];
+      const Channel& ch = *inbound_[self * size + from];
       // untimed-ok: audit view, outside simulated time
-      if (in.channel->tail.peek() != in.scanned) {
+      if (ch.tail.peek() != ch.scanned) {
         ++lost;
         break;
       }

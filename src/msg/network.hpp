@@ -10,14 +10,14 @@
 // the slot then bumps the tail (2 shared accesses, each <= Δ when timing
 // holds, so a message "arrives" within 2Δ + the receiver's polling step);
 // the receiver polls tails (cache-local while nothing changes, so an
-// idle receiver parks instead of re-reading them) and consumes slots in
-// order.  Polling sweeps start at a rotating per-caller index so no
-// inbound channel can be starved by sustained load on a lower-numbered
-// one.
+// idle receiver parks instead of re-reading them) and consumes the
+// published slots.  Polling sweeps start at a rotating per-caller index
+// so no inbound channel can be starved by sustained load on a
+// lower-numbered one.
 //
 // All three receive calls run one private receive loop: a sweep over the
 // receiver's row of a flat [receiver * endpoints + sender] table of
-// inbound state, built once by the constructor.  try_recv is one sweep;
+// inbound channels, built once by the constructor.  try_recv is one sweep;
 // recv and recv_until sweep until a hit (or the deadline) and park
 // between empty sweeps.  A receive call allocates its coroutine frame
 // once; idle sweeps allocate nothing.
@@ -41,26 +41,30 @@
 // the sweep read that tail is either seen by the check or finds the
 // receiver parked and wakes it; lost_wakeups() audits that.
 
-// A NetAdversary attached via set_adversary() makes delivery unreliable:
-// each message's verdict (drop / duplicate / extra delay) is decided at
-// send time from a per-channel deterministic stream; the receiver's sweep
-// skips dropped slots, holds delayed slots until their delivery instant
-// (later slots may overtake — reordering), and re-delivers duplicated
-// slots once more.  Slot delivery metadata is substrate bookkeeping like
-// the read cursors: it models the link, not algorithm state, so it is
-// untimed by design.
+// One delivery path.  Every sent slot has an entry in its channel's
+// in-flight window: the verdict of the NetAdversary attached via
+// set_adversary() (drop / duplicate / extra delay, decided at send time
+// from a per-channel deterministic stream), or "deliverable at once, one
+// copy" with none attached — a reliable channel is the fault-free
+// adversary.  Each sweep of a channel reads its tail and delivers the
+// published copy with the earliest delivery instant that has arrived
+// (ties go to the older slot), so with no faults it consumes slots in
+// order; a delayed slot is held until its instant (later slots may
+// overtake — reordering), a duplicated one is delivered once more and a
+// dropped one never.  The window is substrate bookkeeping like the scan
+// cursor: it models the link, not algorithm state, so it is untimed by
+// design.
 //
 // Bounded storage.  A channel is logically x[1..∞], but a slot the
-// receiver can never read again is dead state.  Whenever its cursor
-// moves, the receiver releases the slot chunks below its low-water mark
-// (sim::RegisterArray::release_below): the read cursor on the reliable
-// path; with an adversary, the lowest slot still held (delayed or owing
-// a duplicate) or else the scan cursor.  A verdict lives in a per-channel
-// queue from send until the receiver's sweep classifies its slot.  So a
-// channel's storage follows its in-flight window; only a receiver that
-// stops consuming (crashed, or never scheduled) keeps every slot.
-// live_slot_chunks() audits it.  Uids, names and every timed access are
-// those of the unbounded array.
+// receiver can never read again is dead state.  After each sweep of a
+// channel the receiver pops the window's dead prefix below its scan
+// cursor, so the window's front is the channel's low-water mark: the
+// lowest published slot still owing a copy, else the scan cursor.  It
+// releases the slot chunks below that mark
+// (sim::RegisterArray::release_below), so a channel's storage follows its
+// in-flight window; only a receiver that stops consuming (crashed, or
+// never scheduled) keeps every slot.  live_slot_chunks() audits it.
+// Uids, names and every timed access are those of the unbounded array.
 //
 // Endpoints are small integers in [0, endpoints); the ABD layer maps a
 // node to two endpoints (client + server).
@@ -141,48 +145,41 @@ class Network {
   std::size_t live_slot_chunks(int from, int to) const;
 
  private:
-  /// Delivery metadata for one sent slot, written by the sender at send
-  /// time (adversary verdict) and consumed by the receiver's sweep —
-  /// substrate bookkeeping, same status as the read cursors.
+  /// A sent slot's delivery state: the adversary's verdict, or {0, 1}
+  /// with none attached.  Substrate bookkeeping, same status as the scan
+  /// cursor.
   struct SlotMeta {
     sim::Time deliver_at = 0;  ///< earliest delivery instant
-    int copies = 1;            ///< 0 = dropped
+    int copies = 1;            ///< copies still to deliver; 0 = dead
   };
 
+  /// One SPSC channel: the sender appends to its window, the receiver
+  /// sweeps it.
   struct Channel {
     Channel(sim::RegisterSpace& space, const std::string& name)
         : slots(space, Message{}, name + ".slot"),
           tail(space, 0, name + ".tail") {}
 
-    /// Sender side: records the verdict of `slot`, the newest slot.
-    void note_verdict(int slot, SlotMeta verdict);
-    /// Receiver side, in slot order: the verdict of `slot` (a slot sent
-    /// with no adversary attached delivers at once); it and every older
-    /// verdict are dead afterwards.
-    SlotMeta take_verdict(int slot);
+    /// The slot the sender writes next.
+    int next_slot() const {
+      return low + static_cast<int>(window.size() - front);
+    }
+    SlotMeta& entry(int slot) {
+      return window[front + static_cast<std::size_t>(slot - low)];
+    }
+    /// Receiver side: pops the dead entries at the window's front below
+    /// the scan cursor and releases the slot chunks below the new front.
+    void pop_dead();
 
     sim::RegisterArray<Message> slots;
     sim::Register<int> tail;
-    int sender_next = 0;  ///< sender-local: slots written so far
-    /// Adversary verdicts from send until the receiver classifies their
-    /// slot: meta[i] is slot meta_base + i's.
-    std::vector<SlotMeta> meta;
-    int meta_base = 0;
-  };
-
-  /// Receiver-local state of one inbound channel.
-  struct Inbound {
-    Channel* channel = nullptr;
-    /// Reliable-path read cursor (with an adversary the scanned/ready
-    /// state supersedes it).
-    int consumed = 0;
-    int scanned = 0;  ///< slots classified so far (<= observed tail)
-    struct Held {
-      int slot = 0;
-      sim::Time deliver_at = 0;
-      int copies = 1;
-    };
-    std::vector<Held> ready;  ///< published, undelivered, not dropped
+    /// The in-flight window: window[front + i] is slot low + i's entry,
+    /// from the low-water mark to the newest slot sent; entries before
+    /// `front` are popped and await compaction.
+    std::vector<SlotMeta> window;
+    std::size_t front = 0;
+    int low = 0;      ///< low-water mark: slots below it are dead
+    int scanned = 0;  ///< scan cursor: the tail the receiver last read
   };
 
   /// A receiver's park on its endpoint (see the header's check-and-park).
@@ -201,10 +198,6 @@ class Network {
                                             sim::Time deadline,
                                             sim::Duration poll_every);
 
-  /// Releases the slots of `in`'s channel that its receiver can never read
-  /// again: below the scan cursor and every held slot.
-  static void release_read_slots(Inbound& in);
-
   Channel& channel(int from, int to) const {
     return *channels_[static_cast<std::size_t>(from) *
                           static_cast<std::size_t>(endpoints_) +
@@ -215,7 +208,7 @@ class Network {
   std::vector<std::unique_ptr<Channel>> channels_;
   /// inbound_[receiver * endpoints + sender]: each receiver's row is the
   /// table its sweeps walk.
-  std::vector<Inbound> inbound_;
+  std::vector<Channel*> inbound_;
   /// poll_start_[receiver]: rotating sweep start (fairness under load).
   std::vector<int> poll_start_;
   /// parked_[receiver]: its park, while it sleeps in receive().

@@ -17,9 +17,9 @@
 // demand), its RMR "holds a copy" bits for pids below 64 live in an
 // inline mask, and cells are built in place in fixed 64-cell chunks.  A
 // channel's receiver never reads a consumed slot again, so it releases
-// the chunks below its read cursor (RegisterArray::release_below): their
-// cells are destroyed and the storage is reused for the next chunk, so a
-// channel holds the messages in flight, not every message ever sent.
+// the chunks below its low-water mark (RegisterArray::release_below):
+// their cells are destroyed and the storage is reused for the next chunk,
+// so a channel holds the messages in flight, not every message ever sent.
 // Uids and names do not change: cells are still built on first touch, in
 // index order.
 

@@ -26,7 +26,6 @@ void Simulation::reset(std::uint64_t seed) {
   crash_time_.clear();
   control_.clear();
   callbacks_.clear();
-  trace_.clear();
   pending_exception_ = nullptr;
   now_ = 0;
   next_seq_ = 0;
@@ -251,22 +250,6 @@ std::uint64_t Simulation::state_fingerprint() const {
   return h;
 }
 
-std::uint64_t Simulation::trace_hash() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const TraceEvent& e : trace_) {
-    mix(static_cast<std::uint64_t>(e.when));
-    mix(static_cast<std::uint64_t>(e.pid));
-    mix(static_cast<std::uint64_t>(e.kind));
-  }
-  return h;
-}
-
 void Simulation::schedule_access(Pid pid, std::coroutine_handle<> h,
                                  std::uint64_t reg_uid, bool is_write) {
   const std::uint64_t limit =
@@ -321,25 +304,18 @@ void Simulation::note_read(Pid pid, bool remote) {
   auto& s = stats_[static_cast<std::size_t>(pid)];
   ++s.reads;
   if (remote) ++s.rmr;
-  note_trace(pid, 'r');
 }
 
 void Simulation::note_write(Pid pid) {
   auto& s = stats_[static_cast<std::size_t>(pid)];
   ++s.writes;
   ++s.rmr;  // writes are always remote in the CC accounting
-  note_trace(pid, 'w');
 }
 
 void Simulation::note_delay(Pid pid, Duration d) {
   auto& s = stats_[static_cast<std::size_t>(pid)];
   ++s.delays;
   s.delay_time += d;
-  note_trace(pid, 'd');
-}
-
-void Simulation::note_trace(Pid pid, char kind) {
-  if (options_.trace) trace_.push_back(TraceEvent{now_, pid, kind});
 }
 
 void Simulation::push_event(Time when, Pid pid, std::coroutine_handle<> h,

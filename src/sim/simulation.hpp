@@ -204,7 +204,6 @@ class Env {
 
 struct SimulationOptions {
   std::uint64_t seed = 1;
-  bool trace = false;  ///< record a linearization trace (determinism tests)
   /// Structured event sink (observability layer); null = no tracing.
   /// Register accesses, delays, crashes and completions are emitted by the
   /// simulator itself; timing models and monitors attach separately.
@@ -253,12 +252,12 @@ class Simulation {
 
   /// Rewinds the simulation to its just-constructed state while *keeping*
   /// every heap buffer at capacity: the event queue's node pool, the
-  /// per-process stat/crash/park vectors, the linearization trace and the
-  /// callback list are cleared but not freed.  This is the re-execution
+  /// per-process stat/crash/park vectors and the callback list are
+  /// cleared but not freed.  This is the re-execution
   /// fast path for stateless exploration (mcheck runs the same scenario
   /// hundreds of thousands of times): reconstructing a Simulation per run
   /// pays allocation and teardown on every execution, reset() pays it
-  /// once.  The timing model, options (sink/strategy/trace flag) and all
+  /// once.  The timing model, options (sink/strategy) and all
   /// buffer capacities survive; processes, pending events, callbacks,
   /// stats, register accounting and the Rng do not.  Callers must drop
   /// any objects referencing the previous run's registers first.
@@ -348,10 +347,6 @@ class Simulation {
     return !options_.capture_state || space_.values_hashable();
   }
 
-  /// FNV-1a hash of the linearization trace (requires Options::trace).
-  std::uint64_t trace_hash() const;
-  std::size_t trace_length() const { return trace_.size(); }
-
   // --- internal API used by awaiters and Process (do not call directly) ---
   void schedule_access(Pid pid, std::coroutine_handle<> h,
                        std::uint64_t reg_uid, bool is_write);
@@ -420,7 +415,6 @@ class Simulation {
     control_[static_cast<std::size_t>(e.pid)].park.handle = {};
     return true;
   }
-  void note_trace(Pid pid, char kind);
 
   std::unique_ptr<TimingModel> timing_;
   Options options_;
@@ -454,12 +448,6 @@ class Simulation {
   std::vector<Control> control_;
   std::exception_ptr pending_exception_{};
   std::vector<std::function<void()>> callbacks_;
-  struct TraceEvent {
-    Time when;
-    Pid pid;
-    char kind;
-  };
-  std::vector<TraceEvent> trace_;
 };
 
 // ---------------------------------------------------------------------------

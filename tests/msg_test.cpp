@@ -20,6 +20,7 @@
 #include "tfr/msg/election_msg.hpp"
 #include "tfr/msg/network.hpp"
 #include "tfr/obs/replay.hpp"
+#include "tfr/obs/trace.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/timing.hpp"
 
@@ -818,6 +819,67 @@ TEST(NetAdversaryTest, AdversarialRunsAreDeterministic) {
   }
 }
 
+/// One traced run of the n = 3 hardened write-then-read workload, with
+/// `adversary` attached (null = none).
+struct TracedAbdRun {
+  std::uint64_t hash = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t dropped = 0;
+};
+
+TracedAbdRun run_traced_abd(std::uint64_t seed, NetAdversary* adversary) {
+  obs::TraceSink sink;
+  sim::Simulation s(make_uniform_timing(1, kDelta),
+                    {.seed = seed, .sink = &sink});
+  const int n = 3;
+  Network net(s.space(), 2 * n);
+  net.set_adversary(adversary);
+  std::vector<std::unique_ptr<AbdClient>> clients;
+  for (int i = 0; i < n; ++i)
+    clients.push_back(std::make_unique<AbdClient>(net, i, n, test_policy()));
+  int done = 0;
+  for (int i = 0; i < n; ++i) {
+    s.spawn([&clients, &done, i](sim::Env env) {
+      return hardened_write_read(env, *clients[static_cast<std::size_t>(i)],
+                                 1, 100 + i, &done);
+    });
+  }
+  spawn_servers(s, net, n);
+  s.run(4'000'000'000, [&done] { return done == n; });
+  EXPECT_EQ(done, n) << "seed=" << seed;
+  return {sink.hash(), net.messages_sent(), sink.dropped()};
+}
+
+// A reliable channel is the fault-free adversary: attaching a NetAdversary
+// that injects nothing changes no event of the run, because both deliver
+// through the same window (an entry's deliver_at is 0 or its send instant,
+// which orders the slots alike).  The pinned hashes and message counts were
+// captured when the network still consumed reliable channels on a separate
+// in-order path, so they also pin that path's behaviour.
+TEST(Channels, ReliableNetworkIsTheFaultFreeAdversary) {
+  constexpr std::uint64_t kHash[] = {0xa2de0de473a4bc09ull,
+                                     0xa84aa3b961caeaadull,
+                                     0xa9b38d24c360b54eull,
+                                     0x62c65f4ba950af03ull,
+                                     0x6291c1625141db59ull};
+  constexpr std::uint64_t kMessages[] = {52, 54, 54, 54, 60};
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    NetAdversary fault_free;
+    const TracedAbdRun reliable = run_traced_abd(seed, nullptr);
+    const TracedAbdRun adversarial = run_traced_abd(seed, &fault_free);
+    EXPECT_EQ(reliable.hash, kHash[seed]) << "seed=" << seed;
+    EXPECT_EQ(reliable.messages, kMessages[seed]) << "seed=" << seed;
+    EXPECT_EQ(adversarial.hash, reliable.hash) << "seed=" << seed;
+    EXPECT_EQ(adversarial.messages, reliable.messages) << "seed=" << seed;
+    EXPECT_EQ(reliable.dropped, 0u) << "seed=" << seed;
+    EXPECT_EQ(adversarial.dropped, 0u) << "seed=" << seed;
+    EXPECT_EQ(fault_free.drops() + fault_free.duplicates() +
+                  fault_free.delays() + fault_free.reorders(),
+              0u)
+        << "seed=" << seed;
+  }
+}
+
 TEST(NetAdversaryTest, ConvergesWithinBoundAfterPartitionHeal) {
   // Node 0 (client + server endpoints) is cut off from t=0 until the heal;
   // its operations stall, retry, and must complete within the monitor's
@@ -1349,9 +1411,10 @@ ChannelFaults long_exchange_faults() {
   return faults;
 }
 
-// Reliable path, with a sender that outruns the receiver: the read cursor
-// is the low-water mark, so after reading slot k the live chunks are those
-// from k's chunk to the newest slot begun, never the whole history.
+// No adversary, with a sender that outruns the receiver: every entry
+// delivers at once, so after reading slot k the window's front (the
+// low-water mark) is k + 1 and the live chunks are those from k's chunk to
+// the newest slot begun, never the whole history.
 TEST(ChannelStorage, ReliableBacklogKeepsOnlyItsWindow) {
   const LongExchange out = run_long_exchange(nullptr, 0, 8);
   ASSERT_EQ(out.delivered.size(), 10'000u);
@@ -1402,6 +1465,57 @@ TEST(ChannelStorage, HeldSlotsBoundTheLiveChunks) {
   EXPECT_GE(out.peak_live(), 3u) << "no hold spanned a chunk boundary";
   EXPECT_LE(out.peak_live(), 5u);
   EXPECT_EQ(out.live_at_end, 1u);
+}
+
+/// Sends `count` messages 0 -> 1 back to back; `*sending` is set while a
+/// send is in flight.
+sim::Process flagged_sender(sim::Env env, Network& net, int count,
+                            bool* sending, bool* done) {
+  for (int k = 0; k < count; ++k) {
+    Message m;
+    m.value = k;
+    *sending = true;
+    co_await net.send(env, 0, 1, m);
+    *sending = false;
+  }
+  *done = true;
+}
+
+sim::Process sweeping_receiver(sim::Env env, Network& net, const bool* done) {
+  while (!*done) co_await net.recv_until(env, 1, env.now() + 20, 1);
+}
+
+// Every message dropped: a dropped slot is dead once the receiver's sweep
+// has seen it published, so the channel ends with no live chunk; but not
+// before, because its sender still writes it.  Sampled every tick, the
+// chunk of the slot a send is writing is always live, also when that slot
+// ends a chunk and the receiver sweeps mid-send.
+TEST(ChannelStorage, DroppedSlotsDieOncePublishedNotBefore) {
+  constexpr int kMessages = 256;
+  sim::Simulation s(make_fixed_timing(1));
+  Network net(s.space(), 2);
+  NetAdversary adversary;
+  ChannelFaults faults;
+  faults.drop = 1.0;
+  adversary.set_default_faults(faults);
+  net.set_adversary(&adversary);
+  bool sending = false;
+  bool done = false;
+  int dead_while_sending = 0;
+  for (sim::Time t = 0; t < 4 * kMessages; ++t) {
+    s.schedule_callback(t, [&] {
+      if (sending && net.live_slot_chunks(0, 1) == 0) ++dead_while_sending;
+    });
+  }
+  s.spawn([&](sim::Env env) { return sweeping_receiver(env, net, &done); });
+  s.spawn([&](sim::Env env) {
+    return flagged_sender(env, net, kMessages, &sending, &done);
+  });
+  EXPECT_EQ(s.run(), sim::Simulation::RunResult::Idle);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(adversary.drops(), static_cast<std::uint64_t>(kMessages));
+  EXPECT_EQ(dead_while_sending, 0);
+  EXPECT_EQ(net.live_slot_chunks(0, 1), 0u);
 }
 
 // A receiver that never reads keeps every slot: nothing is released

@@ -86,7 +86,7 @@ std::uint64_t run_iteration(sim::Simulation& simulation) {
 // two coroutine frames the scenario itself spawns.
 TEST(SimAllocRegression, ResetReachesSteadyState) {
   sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1),
-                             sim::SimulationOptions{.seed = 1, .trace = true});
+                             sim::SimulationOptions{.seed = 1});
   const std::uint64_t warmup = run_iteration(simulation);
   const std::uint64_t steady = run_iteration(simulation);
   EXPECT_LE(steady, warmup);
@@ -145,7 +145,7 @@ sim::Process far_sleeper(sim::Env env, sim::Register<int>& reg, int id) {
 // last event.
 TEST(SimAllocRegression, OverflowingDelaysReachZeroRunAllocations) {
   sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1),
-                             sim::SimulationOptions{.seed = 1, .trace = true});
+                             sim::SimulationOptions{.seed = 1});
   auto run_allocations = [&simulation] {
     simulation.reset(1);
     sim::Register<int> reg(simulation.space(), 0, "r");

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -13,6 +14,7 @@
 
 #include "tfr/common/contracts.hpp"
 #include "tfr/common/rng.hpp"
+#include "tfr/obs/trace.hpp"
 #include "tfr/sim/event_queue.hpp"
 #include "tfr/sim/monitor.hpp"
 #include "tfr/sim/register.hpp"
@@ -113,12 +115,13 @@ TEST(Simulation, InterleavingRespectsEventTimes) {
 
 TEST(Simulation, DeterministicTraceForSeed) {
   auto run_once = [](std::uint64_t seed) {
-    Simulation s(make_uniform_timing(1, 100), {.seed = seed, .trace = true});
+    obs::TraceSink sink;
+    Simulation s(make_uniform_timing(1, 100), {.seed = seed, .sink = &sink});
     Cell c(s.space());
     for (int p = 0; p < 4; ++p)
       s.spawn([&](Env env) { return writer_process(env, c.reg, p, 50); });
     s.run();
-    return s.trace_hash();
+    return sink.hash();
   };
   EXPECT_EQ(run_once(7), run_once(7));
   EXPECT_NE(run_once(7), run_once(8));
@@ -142,15 +145,18 @@ Process golden_worker(Env env, Register<int>& reg, int id) {
   }
 }
 
-// Golden pin of the default (FIFO) event order.  The constants were
-// captured with the binary-heap event queue; they pin (when, push order)
-// tie-breaks across queue implementations, which a same-binary
-// determinism check (DeterministicTraceForSeed) cannot.  Uniform access
+// Golden pin of the default (FIFO) event order.  The event order was
+// first pinned with the binary-heap event queue; the sink hash was
+// captured later from the same run (382 accesses and delays, as under the
+// heap).  They pin (when, push order) tie-breaks across queue
+// implementations, which a same-binary determinism check
+// (DeterministicTraceForSeed) cannot.  Uniform access
 // costs up to 100 ticks, delays far beyond the next 64 instants,
 // delay(0), callbacks at `now` and far ahead, a callback that crashes a
 // process mid-instant, crash_at and time-limited resumption all feed it.
 TEST(Simulation, GoldenFifoOrderIsPinned) {
-  Simulation s(make_uniform_timing(1, 100), {.seed = 2024, .trace = true});
+  obs::TraceSink sink;
+  Simulation s(make_uniform_timing(1, 100), {.seed = 2024, .sink = &sink});
   Register<int> reg(s.space(), 1);
   for (int p = 0; p < 5; ++p)
     s.spawn([&reg, p](Env env) { return golden_worker(env, reg, p); },
@@ -177,10 +183,18 @@ TEST(Simulation, GoldenFifoOrderIsPinned) {
   Time limit = 0;
   while (s.run(limit += 97) == Simulation::RunResult::TimeLimit) {
   }
-  EXPECT_EQ(s.trace_hash(), 0xfb3639e47afa61a2ULL);
+  EXPECT_EQ(sink.hash(), 0x4c705e79efe32427ULL);
   EXPECT_EQ(fired, 0x6faf9e8434fb4fd6ULL);
   EXPECT_EQ(s.now(), 7225);
-  EXPECT_EQ(s.trace_length(), 382u);
+  const std::vector<obs::Event> events = sink.snapshot();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const obs::Event& e) {
+                            return e.kind == obs::EventKind::kRead ||
+                                   e.kind == obs::EventKind::kWrite ||
+                                   e.kind == obs::EventKind::kDelay;
+                          }),
+            382);
+  EXPECT_EQ(sink.dropped(), 0u);
   EXPECT_TRUE(s.stats(2).crashed);
   EXPECT_TRUE(s.stats(3).crashed);
 }
